@@ -132,7 +132,7 @@ class MultiHeadAttention:
             self.last_attn = attn.data
         if self.dropout > 0.0 and dropout_rng is not None:
             keep = (dropout_rng.random(attn.shape) >= self.dropout) / (1.0 - self.dropout)
-            attn = T.mul_const(attn, keep.astype(attn.dtype))
+            attn = T.mul_const(attn, keep)
         out = T.matmul(attn, v)  # [B, H, T, hd]
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
         return self.wo(out)

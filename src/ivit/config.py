@@ -154,6 +154,8 @@ def parse_model_config(text: str) -> ModelConfig:
             raise ConfigError(f"unknown model-config key {key!r} in checkpoint echo")
         default = fields[key].default
         if isinstance(default, bool):
+            if raw.strip() not in ("True", "False"):
+                raise ConfigError(f"bad bool {raw.strip()!r} for {key!r} in checkpoint echo")
             kwargs[key] = raw.strip() == "True"
         elif isinstance(default, int):
             kwargs[key] = int(raw)

@@ -21,6 +21,8 @@ from .tensor import Tensor
 FD_STEP = 1e-5
 ELEMENTWISE_TOL = 1e-4
 MODEL_TOL = 1e-3
+#: smallest gradient magnitude `rel_error` divides by
+ABS_FLOOR = 1e-6
 
 
 def numerical_grad(f: Callable[[], float], x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -40,8 +42,14 @@ def numerical_grad(f: Callable[[], float], x: np.ndarray, h: float = FD_STEP) ->
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """max |a - n| scaled by the numeric gradient's magnitude."""
-    return float(np.abs(analytic - numeric).max() / (np.abs(numeric).max() + 1e-12))
+    """max |a - n| scaled by the numeric gradient's magnitude, floored at `ABS_FLOOR`.
+
+    Above the floor the error is the plain relative one. Below it the error is
+    absolute over the floor, so an exactly-zero gradient measured through
+    finite-difference noise (~1e-11 at ``FD_STEP``) reads ~1e-5, not ~1.
+    """
+    scale = max(np.abs(numeric).max() + 1e-12, ABS_FLOOR)
+    return float(np.abs(analytic - numeric).max() / scale)
 
 
 def check_gradients(build_loss: Callable[[], Tensor], inputs: Iterable[Tensor], h: float = FD_STEP) -> float:
@@ -63,120 +71,123 @@ def check_gradients(build_loss: Callable[[], Tensor], inputs: Iterable[Tensor], 
     return worst
 
 
-def _rng_tensor(rng: np.random.Generator, shape, lo=-1.0, hi=1.0) -> Tensor:
-    return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True, dtype=np.float64)
-
-
 def _quadratic(out: Tensor, c: np.ndarray) -> Tensor:
     """Reduce an op output to a scalar through fixed random coefficients.
 
     A plain sum would hide gradient errors that cancel across entries, so the
-    output is first reshaped to a row and dotted with a frozen vector.
+    output is first reshaped to a row and dotted with a frozen vector of the
+    output's dtype, so the loss has the dtype the op returned.
     """
     flat = T.reshape(out, (1, out.size))
-    w = Tensor(c.reshape(out.size, 1), dtype=np.float64)
+    w = Tensor(c.reshape(out.size, 1), dtype=out.dtype)
     return T.reshape(T.matmul(flat, w), ())
 
 
-def op_cases(seed: int) -> dict[str, tuple[Callable[[], Tensor], list[Tensor]]]:
-    """One (loss builder, inputs) pair per differentiable op."""
+def op_cases(seed: int, dtype=np.float64) -> dict[str, tuple[Callable[[], Tensor], list[Tensor]]]:
+    """One (loss builder, inputs) pair per differentiable op, every tensor in ``dtype``.
+
+    The random draws do not depend on ``dtype``.
+    """
     rng = np.random.default_rng(seed)
+
+    def rt(shape) -> Tensor:
+        return Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True, dtype=dtype)
 
     def co(shape) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, size=int(np.prod(shape)))
 
     cases: dict[str, tuple[Callable[[], Tensor], list[Tensor]]] = {}
 
-    a = _rng_tensor(rng, (3, 4))
-    b = _rng_tensor(rng, (4, 2))
+    a = rt((3, 4))
+    b = rt((4, 2))
     c1 = co((3, 2))
     cases["matmul"] = (lambda: _quadratic(T.matmul(a, b), c1), [a, b])
 
-    ab = _rng_tensor(rng, (2, 3, 4))
-    bb = _rng_tensor(rng, (2, 4, 3))
+    ab = rt((2, 3, 4))
+    bb = rt((2, 4, 3))
     c2 = co((2, 3, 3))
     cases["matmul_batched"] = (lambda: _quadratic(T.matmul(ab, bb), c2), [ab, bb])
 
-    x1 = _rng_tensor(rng, (2, 5))
-    y1 = _rng_tensor(rng, (2, 5))
+    x1 = rt((2, 5))
+    y1 = rt((2, 5))
     c3 = co((2, 5))
     cases["add"] = (lambda: _quadratic(T.add(x1, y1), c3), [x1, y1])
 
-    x2 = _rng_tensor(rng, (2, 3, 4))
-    b2 = _rng_tensor(rng, (4,))
+    x2 = rt((2, 3, 4))
+    b2 = rt((4,))
     c4 = co((2, 3, 4))
     cases["add_bias"] = (lambda: _quadratic(T.add_bias(x2, b2), c4), [x2, b2])
 
-    x3 = _rng_tensor(rng, (3, 3))
+    x3 = rt((3, 3))
     c5 = co((3, 3))
     cases["scale"] = (lambda: _quadratic(T.scale(x3, 0.37), c5), [x3])
 
-    xmc = _rng_tensor(rng, (3, 4))
+    xmc = rt((3, 4))
     mask = (rng.random((3, 4)) > 0.3) / 0.7
     c5b = co((3, 4))
     cases["mul_const"] = (lambda: _quadratic(T.mul_const(xmc, mask), c5b), [xmc])
 
-    xb = _rng_tensor(rng, (3, 4))
+    xb = rt((3, 4))
     c6 = co((2, 3, 4))
     cases["broadcast_batch"] = (lambda: _quadratic(T.broadcast_batch(xb, 2), c6), [xb])
 
-    xt = _rng_tensor(rng, (2, 3, 4))
+    xt = rt((2, 3, 4))
     c7 = co((4, 2, 3))
     cases["transpose"] = (lambda: _quadratic(T.transpose(xt, (2, 0, 1)), c7), [xt])
 
-    xr = _rng_tensor(rng, (2, 6))
+    xr = rt((2, 6))
     c8 = co((3, 4))
     cases["reshape"] = (lambda: _quadratic(T.reshape(xr, (3, 4)), c8), [xr])
 
-    xc1 = _rng_tensor(rng, (2, 3))
-    xc2 = _rng_tensor(rng, (2, 2))
+    xc1 = rt((2, 3))
+    xc2 = rt((2, 2))
     c9 = co((2, 5))
     cases["concat"] = (lambda: _quadratic(T.concat([xc1, xc2], axis=1), c9), [xc1, xc2])
 
-    xn = _rng_tensor(rng, (3, 6))
+    xn = rt((3, 6))
     c10 = co((3, 2))
     cases["narrow"] = (lambda: _quadratic(T.narrow(xn, 1, 2, 2), c10), [xn])
 
-    xm = _rng_tensor(rng, (3, 4))
+    xm = rt((3, 4))
     c11 = co((4,))
     cases["mean"] = (lambda: _quadratic(T.mean(xm, 0), c11), [xm])
 
-    tbl = _rng_tensor(rng, (5, 3))
+    tbl = rt((5, 3))
     idx = np.array([1, 3, 1, 0])
     c12 = co((4, 3))
     cases["embedding_select"] = (lambda: _quadratic(T.embedding_select(tbl, idx), c12), [tbl])
 
-    bd_a = _rng_tensor(rng, (2, 4))
-    bd_b = _rng_tensor(rng, (2, 3, 4))
+    bd_a = rt((2, 4))
+    bd_b = rt((2, 3, 4))
     c13 = co((2, 3))
     cases["batched_dot"] = (lambda: _quadratic(T.batched_dot(bd_a, bd_b), c13), [bd_a, bd_b])
 
-    xs = _rng_tensor(rng, (3, 5))
+    xs = rt((3, 5))
     c14 = co((3, 5))
     cases["softmax"] = (lambda: _quadratic(T.softmax(xs, axis=1), c14), [xs])
 
-    xl = _rng_tensor(rng, (3, 5))
+    xl = rt((3, 5))
     # keep slices away from the origin where the epsilon guard kicks in
     xl.data += np.where(xl.data >= 0, 0.5, -0.5)
     c15 = co((3, 5))
     cases["l2_normalize"] = (lambda: _quadratic(T.l2_normalize(xl, axis=1), c15), [xl])
 
-    xg = _rng_tensor(rng, (4, 4))
+    xg = rt((4, 4))
     c16 = co((4, 4))
     cases["gelu"] = (lambda: _quadratic(T.gelu(xg), c16), [xg])
 
-    xln = _rng_tensor(rng, (2, 3, 6))
-    gln = _rng_tensor(rng, (6,))
-    bln = _rng_tensor(rng, (6,))
+    xln = rt((2, 3, 6))
+    gln = rt((6,))
+    bln = rt((6,))
     c17 = co((2, 3, 6))
     cases["layer_norm"] = (
         lambda: _quadratic(T.layer_norm(xln, gln, bln), c17),
         [xln, gln, bln],
     )
 
-    lg = _rng_tensor(rng, (4, 3))
+    lg = rt((4, 3))
     tg_rows = rng.dirichlet(np.ones(3), size=4)
-    tg = Tensor(tg_rows, requires_grad=True, dtype=np.float64)
+    tg = Tensor(tg_rows, requires_grad=True, dtype=dtype)
     cases["cross_entropy"] = (lambda: T.cross_entropy(lg, tg), [lg])
 
     return cases

@@ -7,11 +7,14 @@ shortcuts are scalar arithmetic (`scale`, scalar `add`) and the explicit
 `add_bias` / `broadcast_batch` ops, whose broadcast is their contract.
 
 Training runs in float32; the gradient-check suite builds the same graph in
-float64 (creation functions take ``dtype``, ops preserve it).
+float64 (creation functions take ``dtype``, ops preserve it: constants are
+Python floats, never numpy float64 scalars, which would promote a float32
+operand).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -19,8 +22,17 @@ from scipy.special import erf as _erf
 
 from .errors import ShapeError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Eigen's float32 erf (generic_fast_erf_float): erf(x) = x * P(x^2) / Q(x^2)
+# on x clamped to [-4, 4], beyond which erf rounds to +-1 in float32.
+# Coefficients from the highest power down.
+_ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+            -1.60960333262415e-02)
+_ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+            -7.37332916720468e-03, -1.42647390514189e-02)
 
 #: added to L2 denominators so zero slices normalize to zero instead of NaN
 NORM_EPS = 1e-12
@@ -191,8 +203,11 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
-    """Elementwise multiply by a constant array of the same shape (dropout masks)."""
-    c = np.asarray(c)
+    """Elementwise multiply by a constant array of the same shape (dropout masks).
+
+    The mask is cast to ``x``'s dtype, so a float64 mask cannot promote the result.
+    """
+    c = np.asarray(c, dtype=x.dtype)
     if c.shape != x.data.shape:
         raise ShapeError(f"mul_const: mask shape {c.shape} != tensor shape {x.shape}")
 
@@ -407,9 +422,37 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (x,), bw)
 
 
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, in the dtype of ``x``.
+
+    float32 takes the rational fit ``_ERF32_P`` / ``_ERF32_Q``, evaluated with
+    in-place array ops:
+    max abs error 4.5e-7 against the exact erf (a few float32 ulp near +-1),
+    odd, exactly 0 at 0 and clipped to [-1, 1]. Every other dtype goes to
+    ``scipy.special.erf``, so the float64 gradient check keeps the exact path.
+    """
+    if x.dtype != np.float32:
+        return _erf(x)
+    x = np.clip(x, -4.0, 4.0)
+    x2 = x * x
+    p = x2 * _ERF32_P[0]
+    p += _ERF32_P[1]
+    for c in _ERF32_P[2:]:
+        p *= x2
+        p += c
+    p *= x
+    q = x2 * _ERF32_Q[0]
+    q += _ERF32_Q[1]
+    for c in _ERF32_Q[2:]:
+        q *= x2
+        q += c
+    p /= q
+    return np.clip(p, -1.0, 1.0, out=p)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based gelu."""
-    c = _erf(x.data * _INV_SQRT2)
+    """Exact erf-based gelu (float32 through the rational-fit `erf`)."""
+    c = erf(x.data * _INV_SQRT2)
     y = 0.5 * x.data * (1.0 + c)
 
     def bw(g):

@@ -356,7 +356,10 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
 
     ``select_k`` routes each image through zero-shot prompt selection first;
     ``select_k >= n_classes`` degenerates to the unselected path (identical
-    output, same code path). Workers are capped by IVIT_THREADS.
+    output, same code path). Plain batches run on a thread pool whose workers
+    IVIT_THREADS caps; selected batches run in the calling thread, since each
+    is one batch-size-1 forward per image, bound by the interpreter, and
+    threads would only contend for the GIL.
     """
     if bank is not None:
         if dataset.class_names != bank.class_names:
@@ -385,7 +388,7 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     saved_rng = model.backbone.dropout_rng
     model.set_training(False)
     try:
-        workers = _eval_workers()
+        workers = 1 if use_selection else _eval_workers()
         if workers > 1 and len(batches) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(work, batches))

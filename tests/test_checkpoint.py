@@ -10,8 +10,8 @@ from ivit.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from ivit.config import ModelConfig
-from ivit.errors import BadMagicError, ConsistencyError, TruncatedFileError, VersionMismatchError
+from ivit.config import ModelConfig, dump_model_config, parse_model_config
+from ivit.errors import BadMagicError, ConfigError, ConsistencyError, TruncatedFileError, VersionMismatchError
 from ivit.model import InstructionModel
 
 
@@ -54,6 +54,15 @@ def test_config_echo_mismatch_rejected(tmp_path):
     other = tiny_model(dim=32, heads=2)
     with pytest.raises(ConsistencyError, match="config"):
         load_into(other, path)
+
+
+def test_config_echo_bool_must_be_a_python_literal():
+    echo = dump_model_config(ModelConfig(select_in_training=True))
+    assert parse_model_config(echo).select_in_training is True
+    assert parse_model_config(echo.replace("=True", "=False")).select_in_training is False
+    for bad in ("true", "1", "yes", "false", ""):
+        with pytest.raises(ConfigError, match="select_in_training"):
+            parse_model_config(echo.replace("=True", f"={bad}"))
 
 
 def test_model_from_checkpoint_rebuilds(tmp_path):

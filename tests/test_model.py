@@ -77,6 +77,14 @@ class TestForward:
         assert out.score.shape == (3, 6)
         assert out.cls_feature.shape == (3, 16)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_outputs_keep_model_dtype(self, dtype):
+        model, _ = make_model(n_classes=3, n_prompts=4, dtype=dtype, depth=2)
+        out = model.forward(images_for(model, batch=2))
+        assert out.logits.dtype == dtype
+        assert out.score.dtype == dtype
+        assert out.cls_feature.dtype == dtype
+
     def test_score_bounded_by_one(self):
         model, _ = make_model(n_prompts=5)
         out = model.forward(images_for(model, batch=8, seed=11))

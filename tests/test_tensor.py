@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from ivit import tensor as T
 from ivit.errors import ShapeError
@@ -204,3 +205,34 @@ def test_no_implicit_broadcasting():
     # scalar is the sanctioned exception
     out = T.add(Tensor(np.zeros((2, 3))), 1.5)
     assert (out.data == 1.5).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_op_returns_its_input_dtype(dtype):
+    """A float32 graph must stay float32: no numpy float64 constant may promote it."""
+    for name, (build, inputs) in op_cases(0, dtype).items():
+        assert all(t.dtype == dtype for t in inputs), name
+        # each loss has the dtype its op returned (the gradcheck reduction follows it)
+        assert build().dtype == dtype, name
+
+
+class TestErf:
+    GRID = np.linspace(-6.0, 6.0, 1_200_001)
+
+    def test_float32_close_to_exact(self):
+        x = self.GRID.astype(np.float32)
+        y = T.erf(x)
+        assert y.dtype == np.float32
+        assert np.abs(y - erf(x.astype(np.float64))).max() <= 5e-7
+
+    def test_float32_odd_bounded_and_zero_at_zero(self):
+        x = self.GRID.astype(np.float32)
+        y = T.erf(x)
+        assert np.array_equal(T.erf(-x), -y)
+        assert (np.abs(y) <= 1.0).all()
+        assert T.erf(np.zeros(3, dtype=np.float32)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_float64_gelu_is_the_exact_formula(self):
+        x = np.random.default_rng(4).normal(scale=3.0, size=(64, 33))
+        expected = 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        assert np.array_equal(T.gelu(t64(x)).data, expected)

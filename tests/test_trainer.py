@@ -1,11 +1,13 @@
 """Training loop contracts: schedule, Adam, mixup, freeze regimes, metrics."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
 from ivit import dataset as ds
+from ivit import trainer as trainer_mod
 from ivit.config import ModelConfig, TrainConfig
 from ivit.errors import ConsistencyError
 from ivit.model import InstructionModel
@@ -319,9 +321,26 @@ class TestEvaluate:
         assert 0.0 <= metrics.score_top1 <= 1.0
 
     def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        model, data, bank = tiny_setup(tmp_path)
-        monkeypatch.setenv("IVIT_THREADS", "1")
-        single = evaluate(model, data, bank, split="val")
+        # batch_size 2 gives four val batches, so the plain path uses the pool
+        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        results = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("IVIT_THREADS", threads)
+            plain = evaluate(model, data, bank, split="val", batch_size=2)
+            selected = evaluate(model, data, bank, select_k=2, split="val", batch_size=2)
+            results[threads] = (plain, selected)
+        assert results["1"] == results["4"]
+
+    def test_selected_eval_runs_in_calling_thread(self, tmp_path, monkeypatch):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        threads = set()
+        inner = trainer_mod._eval_batch_selected
+
+        def spy(*args):
+            threads.add(threading.get_ident())
+            return inner(*args)
+
+        monkeypatch.setattr(trainer_mod, "_eval_batch_selected", spy)
         monkeypatch.setenv("IVIT_THREADS", "4")
-        multi = evaluate(model, data, bank, split="val")
-        assert single == multi
+        evaluate(model, data, bank, select_k=2, split="val", batch_size=2)
+        assert threads == {threading.get_ident()}
