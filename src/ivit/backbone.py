@@ -212,9 +212,6 @@ class Backbone:
         x = self.final_ln(x)
         return TokenSequence(x, seq.n_patches, seq.n_prompts)
 
-    def expand_cls(self, batch: int) -> Tensor:
-        return broadcast_cls(self.cls_token, batch)
-
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         yield "cls_token", self.cls_token
         yield "pos_embed", self.pos_embed

@@ -9,6 +9,7 @@ the dataset and the prompt bank when a model is built.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .backbone import BackboneConfig
@@ -65,14 +66,28 @@ class TrainConfig:
     grad_clip: float = 0.0       # 0 disables global-norm clipping
 
     def __post_init__(self):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("warmup_epochs", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0):
+            raise ConfigError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
+        for name in ("floor_lr", "mixup_alpha", "grad_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.floor_lr > self.peak_lr:
             raise ConfigError(f"floor_lr {self.floor_lr} exceeds peak_lr {self.peak_lr}")
         if self.warmup_epochs > self.epochs:
             raise ConfigError(f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}")
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
-        if self.mixup_alpha < 0:
-            raise ConfigError(f"mixup_alpha must be >= 0, got {self.mixup_alpha}")
 
 
 _MODEL_KEYS = {f.name: f.type for f in dataclasses.fields(ModelConfig) if f.name not in ("n_classes", "prompt_dim")}

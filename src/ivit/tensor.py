@@ -359,12 +359,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: batch dims differ for {a.shape} @ {b.shape}")
 
     def bw(g):
-        if bd.ndim == 2:
-            ga = g @ bd.T
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            ga = g @ bd.swapaxes(-1, -2)
-            gb = ad.swapaxes(-1, -2) @ g
+        ga = gb = None  # an operand that needs no gradient gets none computed
+        if a.requires_grad:
+            ga = g @ (bd.T if bd.ndim == 2 else bd.swapaxes(-1, -2))
+        if b.requires_grad:
+            if bd.ndim == 2:
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = ad.swapaxes(-1, -2) @ g
         return ga, gb
 
     return _result(ad @ bd, (a, b), bw)
@@ -505,7 +507,7 @@ def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
     def bw(g):
         gs = g.reshape(()) / b
         gl = (p * target.data.sum(axis=1, keepdims=True) - target.data) * gs
-        gt = -lsm * gs
+        gt = -lsm * gs if target.requires_grad else None
         return gl, gt
 
     loss = np.asarray(-(target.data * lsm).sum() / b)

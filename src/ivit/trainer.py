@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from . import tensor as T
 from .config import TrainConfig
 from .dataset import LabeledBatch, SyntheticDataset
@@ -60,7 +61,7 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     """
     if step < 0 or step > total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    warmup_steps = round(total_steps * cfg.warmup_epochs / cfg.epochs) if cfg.epochs else 0
+    warmup_steps = round(total_steps * cfg.warmup_epochs / cfg.epochs)
     if step < warmup_steps:
         return cfg.peak_lr * step / warmup_steps
     if step == warmup_steps:
@@ -229,6 +230,7 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
         )
     if dataset.meta.n_train == 0:
         raise ConsistencyError("training split is empty")
+    _eval_workers()  # a bad IVIT_THREADS fails here, not at the first epoch's eval
 
     from .checkpoint import save_checkpoint  # deferred: checkpoint imports config
 
@@ -321,10 +323,12 @@ def write_metrics_csv(path, history: list[EpochMetrics]) -> None:
 
 
 def _eval_workers() -> int:
-    raw = os.environ.get("IVIT_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return max(1, os.cpu_count() or 1)
+    raw = os.environ.get("IVIT_THREADS", "").strip()
+    if not raw:
+        return max(1, os.cpu_count() or 1)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ConfigError(f"IVIT_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _eval_batch_plain(model: InstructionModel, batch: LabeledBatch) -> tuple[int, int]:
@@ -357,9 +361,10 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     ``select_k`` routes each image through zero-shot prompt selection first;
     ``select_k >= n_classes`` degenerates to the unselected path (identical
     output, same code path). Plain batches run on a thread pool whose workers
-    IVIT_THREADS caps; selected batches run in the calling thread, since each
-    is one batch-size-1 forward per image, bound by the interpreter, and
-    threads would only contend for the GIL.
+    IVIT_THREADS caps, with OpenBLAS held at one thread while the pool runs so
+    the pool is the only parallelism; selected batches run in the calling
+    thread, since each is one batch-size-1 forward per image, bound by the
+    interpreter, and threads would only contend for the GIL.
     """
     if bank is not None:
         if dataset.class_names != bank.class_names:
@@ -379,6 +384,8 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     if use_selection and select_k < 1:
         raise ValueError(f"select_k must be >= 1, got {select_k}")
 
+    workers = _eval_workers()  # checked on both paths, used by the plain one
+
     def work(batch: LabeledBatch) -> tuple[int, int]:
         if use_selection:
             return _eval_batch_selected(model, batch, bank, select_k)
@@ -388,9 +395,8 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     saved_rng = model.backbone.dropout_rng
     model.set_training(False)
     try:
-        workers = 1 if use_selection else _eval_workers()
-        if workers > 1 and len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        if workers > 1 and len(batches) > 1 and not use_selection:
+            with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(work, batches))
         else:
             results = [work(b) for b in batches]

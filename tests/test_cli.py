@@ -149,6 +149,43 @@ class TestTrainEval:
                            "--config", str(cfg), "--out", str(tmp_path / "x"))
         assert code == 2 and "learnign_rate" in err
 
+    @pytest.mark.parametrize("overrides", [
+        {"epochs": 0, "warmup_epochs": 0},
+        {"batch_size": -1},
+        {"batch_size": 0},
+        {"warmup_epochs": -1},
+        {"peak_lr": "nan"},
+        {"peak_lr": 0.0},
+        {"peak_lr": "inf"},
+        {"floor_lr": -1e-5},
+        {"floor_lr": "nan"},
+        {"adam_beta1": 1.5},
+        {"adam_beta1": 0.0},
+        {"adam_beta2": 1.0},
+        {"adam_beta2": "nan"},
+        {"adam_eps": 0.0},
+        {"mixup_alpha": "nan"},
+        {"mixup_alpha": -0.1},
+        {"grad_clip": "inf"},
+        {"grad_clip": -1.0},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_bad_train_config_exits_2(self, tmp_path, data_dir, bank_path, capsys, overrides):
+        code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                           "--config", str(fast_config(tmp_path, **overrides)),
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and next(iter(overrides)) in err
+
+    def test_bad_thread_cap_exits_2(self, tmp_path, data_dir, bank_path, capsys, monkeypatch):
+        run_dir = tmp_path / "run"
+        assert run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                   "--config", str(fast_config(tmp_path, epochs=1)), "--out", str(run_dir))[0] == 0
+        monkeypatch.setenv("IVIT_THREADS", "abc")
+        code, _, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                           "--checkpoint", str(run_dir / "final.ckpt"))
+        assert code == 2 and "IVIT_THREADS" in err and "invalid literal" not in err
+
     def test_eval_select_k_degenerate_matches_plain(self, tmp_path, data_dir, bank_path, capsys):
         run_dir = tmp_path / "run"
         assert run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),

@@ -172,6 +172,30 @@ class TestBackward:
         T.backward(loss)
         assert x.grad is not None and y.grad is not None
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_matmul_computes_gradients_only_for_operands_that_need_them(self, batched):
+        rng = np.random.default_rng(2)
+        shape_a, shape_b = ((2, 3, 4), (2, 4, 5)) if batched else ((3, 4), (4, 5))
+        a, b = t64(rng.normal(size=shape_a)), t64(rng.normal(size=shape_b))
+        g = rng.normal(size=shape_a[:-1] + shape_b[-1:])
+        for need_a, need_b in ((True, True), (True, False), (False, True)):
+            a.requires_grad, b.requires_grad = need_a, need_b
+            ga, gb = T.matmul(a, b)._backward(g)
+            assert (ga is not None, gb is not None) == (need_a, need_b)
+            if need_a:
+                np.testing.assert_allclose(ga, g @ np.swapaxes(b.data, -1, -2))
+            if need_b:
+                expected = np.swapaxes(a.data, -1, -2) @ g if batched else a.data.T @ g
+                np.testing.assert_allclose(gb, expected)
+
+    def test_cross_entropy_skips_gradient_of_a_constant_target(self):
+        logits = t64([[0.5, -0.5], [0.1, 0.2]], requires_grad=True)
+        target = t64([[1.0, 0.0], [0.0, 1.0]])
+        g = np.ones(())
+        assert T.cross_entropy(logits, target)._backward(g)[1] is None
+        target.requires_grad = True
+        assert T.cross_entropy(logits, target)._backward(g)[1].shape == (2, 2)
+
 
 def test_all_ops_match_finite_differences():
     """The blanket gradient property: every op in the library, random inputs in [-1, 1]."""

@@ -1,15 +1,19 @@
 """Training loop contracts: schedule, Adam, mixup, freeze regimes, metrics."""
 
+import _ctypes
 import hashlib
+import os
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from ivit import _blas
 from ivit import dataset as ds
 from ivit import trainer as trainer_mod
 from ivit.config import ModelConfig, TrainConfig
-from ivit.errors import ConsistencyError
+from ivit.errors import ConfigError, ConsistencyError
 from ivit.model import InstructionModel
 from ivit.prompts import build_text_bank
 from ivit.tensor import Tensor
@@ -344,3 +348,118 @@ class TestEvaluate:
         monkeypatch.setenv("IVIT_THREADS", "4")
         evaluate(model, data, bank, select_k=2, split="val", batch_size=2)
         assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
+    def test_bad_thread_cap_names_the_variable(self, tmp_path, monkeypatch, raw):
+        model, data, bank = tiny_setup(tmp_path)
+        monkeypatch.setenv("IVIT_THREADS", raw)
+        for select_k in (None, 1):
+            with pytest.raises(ConfigError, match="IVIT_THREADS"):
+                evaluate(model, data, bank, select_k=select_k, split="val")
+        before = checksums(model, "")
+        with pytest.raises(ConfigError, match="IVIT_THREADS"):
+            train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0))
+        assert checksums(model, "") == before  # rejected before the first step
+
+
+@pytest.fixture()
+def blas_at_two_threads():
+    """numpy's OpenBLAS at two threads for the test, so a drop to one shows."""
+    blas = _blas.bundled_openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found on this platform")
+    before = blas.get_num_threads()
+    blas.set_num_threads(2)
+    try:
+        yield blas
+    finally:
+        blas.set_num_threads(before)
+
+
+class TestEvalBlasThreads:
+    def test_only_pool_workers_run_single_threaded_blas(self, tmp_path, monkeypatch,
+                                                        blas_at_two_threads):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        seen = []  # (thread, BLAS threads, path); list.append is atomic
+        for name in ("_eval_batch_plain", "_eval_batch_selected"):
+            def spy(*args, inner=getattr(trainer_mod, name), path=name):
+                seen.append((threading.get_ident(), blas_at_two_threads.get_num_threads(), path))
+                return inner(*args)
+
+            monkeypatch.setattr(trainer_mod, name, spy)
+
+        def run(threads, select_k=None):
+            seen.clear()
+            monkeypatch.setenv("IVIT_THREADS", threads)
+            evaluate(model, data, bank, select_k=select_k, split="val", batch_size=2)
+            return {(t == threading.get_ident(), n, path) for t, n, path in seen}
+
+        assert run("4") == {(False, 1, "_eval_batch_plain")}
+        assert run("1") == {(True, 2, "_eval_batch_plain")}
+        assert run("4", select_k=2) == {(True, 2, "_eval_batch_selected")}
+
+    def test_calling_thread_count_survives_evaluate_and_train(self, tmp_path, monkeypatch,
+                                                              blas_at_two_threads):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        monkeypatch.setenv("IVIT_THREADS", "4")
+        evaluate(model, data, bank, split="val", batch_size=2)
+        assert blas_at_two_threads.get_num_threads() == 2
+        # batch_size 2 sends the per-epoch eval through the pool as well
+        train(model, data, bank, TrainConfig(epochs=1, batch_size=2, warmup_epochs=0,
+                                             mixup_alpha=0.0))
+        assert blas_at_two_threads.get_num_threads() == 2
+
+    def test_overlapping_blocks_restore_the_count_once(self, blas_at_two_threads):
+        with _blas.single_threaded():
+            with _blas.single_threaded():
+                assert blas_at_two_threads.get_num_threads() == 1
+            assert blas_at_two_threads.get_num_threads() == 1
+        assert blas_at_two_threads.get_num_threads() == 2
+
+    def test_concurrent_blocks_hold_one_thread_and_restore_the_count(self, blas_at_two_threads):
+        inside = []  # the count each block saw; list.append is atomic
+
+        def enter_many():
+            for _ in range(200):
+                with _blas.single_threaded():
+                    inside.append(blas_at_two_threads.get_num_threads())
+
+        threads = [threading.Thread(target=enter_many) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(inside) == 8 * 200 and set(inside) == {1}
+        assert blas_at_two_threads.get_num_threads() == 2
+
+    def test_results_equal_without_the_binding(self, tmp_path, monkeypatch):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+
+        def run():
+            out = {}
+            for threads in ("1", "4"):
+                monkeypatch.setenv("IVIT_THREADS", threads)
+                out[threads] = (evaluate(model, data, bank, split="val", batch_size=2),
+                                evaluate(model, data, bank, select_k=2, split="val", batch_size=2))
+            return out
+
+        bound = run()
+        monkeypatch.setattr(_blas, "bundled_openblas", lambda: None)
+        assert run() == bound
+        assert bound["1"] == bound["4"]
+
+    def test_missing_library_or_symbols_bind_nothing(self, tmp_path, monkeypatch):
+        assert _blas.find_openblas(str(tmp_path)) is None
+        (tmp_path / "libopenblas_broken.so").write_bytes(b"not a shared object")
+        # a loadable library without the OpenBLAS symbols
+        os.symlink(_ctypes.__file__, tmp_path / "libopenblas_other.so")
+        assert _blas.find_openblas(str(tmp_path)) is None
+        monkeypatch.setattr(_blas, "bundled_openblas", lambda: None)
+        with _blas.single_threaded():
+            pass
