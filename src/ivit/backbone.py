@@ -222,8 +222,3 @@ class Backbone:
                 yield f"blocks.{i}.{name}", p
         for name, p in self.final_ln.named_parameters():
             yield f"final_ln.{name}", p
-
-
-def broadcast_cls(cls_token: Tensor, batch: int) -> Tensor:
-    """[1, dim] CLS parameter -> [B, 1, dim]."""
-    return T.broadcast_batch(cls_token, batch)

@@ -24,6 +24,7 @@ from .config import ModelConfig, dump_model_config, parse_model_config
 from .errors import (
     BadMagicError,
     ConsistencyError,
+    FormatError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -80,7 +81,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int]:
     if version != CKPT_VERSION:
         raise VersionMismatchError(f"checkpoint version {version} unsupported (expected {CKPT_VERSION})")
     (echo_len,) = r.unpack("<I")
-    config = parse_model_config(r.take(echo_len).decode("utf-8"))
+    echo = r.take(echo_len)
+    try:
+        config = parse_model_config(echo.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError, an unparsable number or a ConfigError
+        raise FormatError(f"checkpoint {path}: corrupt config echo: {e}") from e
     step, count = r.unpack("<QI")
     params: dict[str, np.ndarray] = {}
     for _ in range(count):

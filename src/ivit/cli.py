@@ -129,12 +129,13 @@ def cmd_train(args) -> int:
     values = parse_run_config(args.config) if args.config else run_config_defaults()
     if args.regime:
         values["regime"] = args.regime
-    if values["image_size"] != data.meta.image_size or values["channels"] != data.meta.channels:
+    # validate the config (exit 2) before comparing it with the dataset (exit 4)
+    model_cfg, train_cfg = split_run_config(values, n_classes=data.n_classes, prompt_dim=bank.dim)
+    if model_cfg.image_size != data.meta.image_size or model_cfg.channels != data.meta.channels:
         raise ConsistencyError(
-            f"config image geometry {values['channels']}x{values['image_size']} does not match "
+            f"config image geometry {model_cfg.channels}x{model_cfg.image_size} does not match "
             f"dataset {data.meta.channels}x{data.meta.image_size}"
         )
-    model_cfg, train_cfg = split_run_config(values, n_classes=data.n_classes, prompt_dim=bank.dim)
     model = InstructionModel(model_cfg, seed=train_cfg.seed)
 
     from .trainer import FreezePolicy, apply_freeze

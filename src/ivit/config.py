@@ -37,6 +37,22 @@ class ModelConfig:
     loss_score_weight: float = 1.0
     select_in_training: bool = False
 
+    def __post_init__(self):
+        for name, least in (("image_size", 1), ("patch_size", 1), ("channels", 1), ("dim", 1),
+                            ("depth", 0), ("heads", 1), ("prompt_dim", 1), ("n_classes", 1),
+                            ("select_k", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if not (math.isfinite(self.mlp_ratio) and int(self.dim * self.mlp_ratio) >= 1):
+            raise ConfigError(f"mlp_ratio must be finite with int(dim * mlp_ratio) >= 1, got {self.mlp_ratio}")
+        for name in ("loss_pred_weight", "loss_score_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 <= self.attn_dropout < 1:
+            raise ConfigError(f"attn_dropout must lie in [0, 1), got {self.attn_dropout}")
+
     def backbone(self) -> BackboneConfig:
         return BackboneConfig(
             image_size=self.image_size,

@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .backbone import Backbone, Linear, TokenSequence, broadcast_cls
+from .backbone import Backbone, Linear, TokenSequence
 from .config import ModelConfig
 from .errors import ConsistencyError, ShapeError
 from .prompts import PromptBank
@@ -94,7 +94,7 @@ class InstructionModel:
         feats = self._features_for(bank)
         b = images.shape[0]
         patches = self.backbone.patch_embed(images)
-        seq = self.backbone.add_positional(broadcast_cls(self.backbone.cls_token, b), patches)
+        seq = self.backbone.add_positional(T.broadcast_batch(self.backbone.cls_token, b), patches)
         n_prompts = 0
         if feats is not None and feats.shape[0] > 0:
             prompt_tokens = T.broadcast_batch(self.prompt_embed(feats), b)

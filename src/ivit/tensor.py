@@ -15,6 +15,7 @@ operand).
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +37,11 @@ _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
 
 #: added to L2 denominators so zero slices normalize to zero instead of NaN
 NORM_EPS = 1e-12
+
+#: how far a cross-entropy target row sum may stray from 1: the threshold of
+#: ``np.allclose(row_sums, 1.0, atol=1e-3)``, i.e. atol + rtol * |1| with
+#: numpy's default rtol
+_ROW_SUM_TOL = 1e-3 + 1e-5
 
 
 class Tensor:
@@ -115,14 +121,15 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    for p in parents:  # an explicit loop: `any()` over a generator costs more than the op
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -247,10 +254,13 @@ def broadcast_batch(x: Tensor, batch: int) -> Tensor:
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(int(a) for a in axes)
+    axes = tuple(map(int, axes))
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"transpose: axes {axes} are not a permutation for shape {x.shape}")
-    inv = tuple(int(i) for i in np.argsort(axes))
+    inv = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inv[a] = i
+    inv = tuple(inv)
 
     def bw(g):
         return (g.transpose(inv),)
@@ -259,7 +269,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     try:
         data = x.data.reshape(shape)
     except ValueError as e:
@@ -285,8 +295,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         other = list(t.shape)
         if base[:axis] != other[:axis] or base[axis + 1:] != other[axis + 1:]:
             raise ShapeError(f"concat: shapes {tensors[0].shape} and {t.shape} differ off axis {axis}")
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = list(accumulate(t.shape[axis] for t in tensors[:-1]))
 
     def bw(g):
         return tuple(np.split(g, splits, axis=axis))
@@ -469,17 +478,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is what ndarray.mean computes, without its Python-level wrapper
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     lead = tuple(range(x.ndim - 1))
 
     def bw(g):
         gxhat = g * gain.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(gxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d
         gx = inv * (gxhat - m1 - xhat * m2)
         gg = (g * xhat).sum(axis=lead) if lead else g * xhat
         gb = g.sum(axis=lead) if lead else g
@@ -497,7 +507,7 @@ def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
     if logits.ndim != 2 or target.ndim != 2 or logits.shape != target.shape:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs target {target.shape}")
     row_sums = target.data.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-3):
+    if not (np.abs(row_sums - 1.0) <= _ROW_SUM_TOL).all():  # np.allclose, without its overhead
         raise ValueError("cross_entropy: target rows must sum to 1")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lsm = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ivit import tensor as T
-from ivit.backbone import Backbone, BackboneConfig, TokenSequence, broadcast_cls
+from ivit.backbone import Backbone, BackboneConfig, TokenSequence
 from ivit.errors import ShapeError
 from ivit.gradcheck import check_gradients
 from ivit.tensor import Tensor
@@ -69,19 +69,19 @@ class TestPositional:
         bb = make_backbone()
         bb.pos_embed.data[...] = 0.0
         patches = Tensor(np.random.default_rng(0).normal(size=(2, 4, 16)))
-        cls = broadcast_cls(bb.cls_token, 2)
+        cls = T.broadcast_batch(bb.cls_token, 2)
         out = bb.add_positional(cls, patches)
         np.testing.assert_array_equal(out.data[:, 1:], patches.data)
 
     def test_output_shape(self):
         bb = make_backbone()
-        out = bb.add_positional(broadcast_cls(bb.cls_token, 3), Tensor(np.zeros((3, 4, 16))))
+        out = bb.add_positional(T.broadcast_batch(bb.cls_token, 3), Tensor(np.zeros((3, 4, 16))))
         assert out.shape == (3, 5, 16)
 
     def test_patch_count_mismatch(self):
         bb = make_backbone()
         with pytest.raises(ShapeError):
-            bb.add_positional(broadcast_cls(bb.cls_token, 1), Tensor(np.zeros((1, 9, 16))))
+            bb.add_positional(T.broadcast_batch(bb.cls_token, 1), Tensor(np.zeros((1, 9, 16))))
 
 
 class TestEncoder:

@@ -177,6 +177,55 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert err.startswith("error: ") and next(iter(overrides)) in err
 
+    @pytest.mark.parametrize("overrides", [
+        {"image_size": 0},
+        {"patch_size": 0},
+        {"patch_size": -4},
+        {"channels": 0},
+        {"dim": 0},
+        {"depth": -1},
+        {"heads": 0},
+        {"select_k": -1},
+        {"mlp_ratio": 0.0},
+        {"mlp_ratio": 0.05},
+        {"mlp_ratio": "nan"},
+        {"mlp_ratio": "inf"},
+        {"loss_pred_weight": "nan"},
+        {"loss_pred_weight": -1.0},
+        {"loss_score_weight": "inf"},
+        {"loss_score_weight": -0.5},
+        {"attn_dropout": 1.0},
+        {"attn_dropout": -0.1},
+        {"attn_dropout": "nan"},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_bad_model_config_exits_2(self, tmp_path, data_dir, bank_path, capsys, overrides):
+        code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                           "--config", str(fast_config(tmp_path, **overrides)),
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and next(iter(overrides)) in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("old,new", [
+        (b"\ndim=16\n", b"\ndim=xx\n"),
+        (b"\ndim=16\n", b"\ndim=1\xff\n"),
+        (b"\nheads=2\n", b"\nheads=0\n"),
+    ], ids=["dim=xx", "0xff-byte", "heads=0"])
+    def test_corrupt_config_echo_exits_3(self, tmp_path, data_dir, bank_path, capsys, old, new):
+        run_dir = tmp_path / "run"
+        assert run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                   "--config", str(fast_config(tmp_path, epochs=1)), "--out", str(run_dir))[0] == 0
+        ckpt = run_dir / "final.ckpt"
+        blob = ckpt.read_bytes()
+        assert blob.count(old) == 1 and len(old) == len(new)  # the echo keeps its length
+        ckpt.write_bytes(blob.replace(old, new))
+        code, _, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                           "--checkpoint", str(ckpt))
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.startswith("error: checkpoint ") and str(ckpt) in err and "config echo" in err
+
     def test_bad_thread_cap_exits_2(self, tmp_path, data_dir, bank_path, capsys, monkeypatch):
         run_dir = tmp_path / "run"
         assert run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),

@@ -8,7 +8,7 @@ import pytest
 
 from ivit import tensor as T
 from ivit.config import ModelConfig
-from ivit.errors import ConsistencyError
+from ivit.errors import ConfigError, ConsistencyError
 from ivit.gradcheck import run_model_check
 from ivit.model import ForwardOutput, InstructionModel, one_hot
 from ivit.prompts import PromptBank
@@ -41,6 +41,20 @@ def images_for(model, batch=2, seed=3):
     rng = np.random.default_rng(seed)
     return Tensor(rng.normal(size=(batch, cfg.channels, cfg.image_size, cfg.image_size)),
                   dtype=model.dtype)
+
+
+class TestConfigValidation:
+    """Run-config keys are checked through the CLI (tests/test_cli.py); these two are derived."""
+
+    @pytest.mark.parametrize("key,value", [("n_classes", 0), ("prompt_dim", 0), ("prompt_dim", -3)])
+    def test_derived_counts_must_be_positive(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+            tiny_config(**{key: value})
+
+    def test_edge_values_stay_valid(self):
+        cfg = tiny_config(depth=0, select_k=0, mlp_ratio=1 / 16, attn_dropout=0.0,
+                          loss_pred_weight=0.0, loss_score_weight=0.0)
+        assert InstructionModel(cfg).backbone.cfg.depth == 0
 
 
 class TestAssemble:
