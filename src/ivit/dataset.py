@@ -72,8 +72,6 @@ class LabeledBatch:
     hard_labels: np.ndarray              # [B] int64
     raw_images: np.ndarray = field(repr=False, default=None)  # un-normalized pixels
     soft_labels: np.ndarray | None = None  # [B, C], rows sum to 1
-    mixup_lambda: float | None = None
-    pair_labels: np.ndarray | None = None  # [B] the mixed-in partner labels
 
     def __len__(self) -> int:
         return self.hard_labels.shape[0]
@@ -114,12 +112,7 @@ def generate_synthetic(out_dir, n_classes: int, n_train: int, n_val: int,
         std=float(train_images.std(dtype=np.float64)),
         class_names=tuple(names),
     )
-    os.makedirs(out_dir, exist_ok=True)
-    _write_meta(os.path.join(out_dir, "meta.txt"), meta)
-    train_images.astype("<f4").tofile(os.path.join(out_dir, "train_images.bin"))
-    train_labels.astype("<u4").tofile(os.path.join(out_dir, "train_labels.bin"))
-    val_images.astype("<f4").tofile(os.path.join(out_dir, "val_images.bin"))
-    val_labels.astype("<u4").tofile(os.path.join(out_dir, "val_labels.bin"))
+    SyntheticDataset(meta, train_images, train_labels, val_images, val_labels).save(out_dir)
     return meta
 
 
@@ -228,7 +221,7 @@ class SyntheticDataset:
         return self._batches(self.val_images, self.val_labels, batch_size, np.arange(self.meta.n_val))
 
     def save(self, out_dir) -> None:
-        """Re-serialize; byte-identical to the generator's output."""
+        """Write the dataset directory; a loaded dataset re-saves byte-identically."""
         os.makedirs(out_dir, exist_ok=True)
         _write_meta(os.path.join(out_dir, "meta.txt"), self.meta)
         self.train_images.astype("<f4").tofile(os.path.join(out_dir, "train_images.bin"))

@@ -67,16 +67,9 @@ class InstructionModel:
     # -- bank handling ------------------------------------------------------
 
     def set_bank(self, bank: PromptBank | None) -> None:
-        if bank is None:
-            self.active_bank = None
-            self._bank_features = None
-            return
-        if bank.dim != self.config.prompt_dim:
-            raise ConsistencyError(
-                f"bank feature width {bank.dim} != configured prompt_dim {self.config.prompt_dim}"
-            )
+        features = None if bank is None else self._features_for(bank)
         self.active_bank = bank
-        self._bank_features = Tensor(bank.features.data, requires_grad=False, dtype=self.dtype)
+        self._bank_features = features
 
     def _features_for(self, bank: PromptBank | None) -> Tensor | None:
         if bank is None or bank is self.active_bank:
@@ -155,11 +148,14 @@ class InstructionModel:
             return T.add(pred, score)
         return T.add(T.scale(pred, cfg.loss_pred_weight), T.scale(score, cfg.loss_score_weight))
 
-    def total_loss(self, out: ForwardOutput, target) -> Tensor:
-        """Weighted sum of both losses; the score term is skipped when no prompts are present."""
+    def total_loss(self, out: ForwardOutput, target) -> tuple[Tensor, float, float]:
+        """Weighted sum of both losses, plus the unweighted ``loss_pred`` and ``loss_score`` values.
+
+        The score term is skipped when no prompts are present; its value is then 0.0.
+        """
         pred = self.loss_pred(out.logits, target)
         score = self.loss_score(out.score, target) if out.score.shape[1] else None
-        return self.combine_losses(pred, score)
+        return self.combine_losses(pred, score), pred.item(), score.item() if score is not None else 0.0
 
     # -- prediction ---------------------------------------------------------
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,8 +107,6 @@ class PromptBank:
     modality: str
     source: str
     seed: int = 0
-    # training-set row picked per class by build_image_bank; in-memory only
-    image_indices: list[int] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -214,15 +212,13 @@ def build_image_bank(dataset, dim: int, seed: int) -> PromptBank:
     rng = np.random.default_rng(seed)
     names = list(dataset.class_names)
     rows = np.empty((len(names), dim), dtype=np.float32)
-    picks: list[int] = []
     for c in range(len(names)):
         candidates = np.flatnonzero(dataset.train_labels == c)
         if candidates.size == 0:
             raise ConsistencyError(f"class {names[c]!r} has no training images to pick a prompt from")
         pick = int(candidates[rng.integers(candidates.size)])
-        picks.append(pick)
         rows[c] = toy_image_encode(dataset.train_images[pick], dim).data
-    return PromptBank(names, Tensor(rows), "image", "toy_image", seed=seed, image_indices=picks)
+    return PromptBank(names, Tensor(rows), "image", "toy_image", seed=seed)
 
 
 def build_mixed_bank(text: PromptBank, image: PromptBank) -> PromptBank:

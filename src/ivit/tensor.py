@@ -87,9 +87,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(())[()])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -318,34 +315,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         return (gx,)
 
     return _result(x.data[idx], (x,), bw)
-
-
-def mean(x: Tensor, axis: int) -> Tensor:
-    """Arithmetic mean over one axis (the axis is dropped)."""
-    axis = axis % x.ndim
-    n = x.shape[axis]
-    src = x.data.shape
-
-    def bw(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), src) / n,)
-
-    return _result(x.data.mean(axis=axis), (x,), bw)
-
-
-def embedding_select(table: Tensor, indices) -> Tensor:
-    """Gather rows of ``table`` by integer index; gradient scatter-adds back."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"embedding_select: indices must be 1-d, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"embedding_select: index out of range for table with {table.shape[0]} rows")
-
-    def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _result(table.data[idx], (table,), bw)
 
 
 # ---------------------------------------------------------------------------

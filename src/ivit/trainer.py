@@ -113,7 +113,6 @@ def mixup(batch_a: LabeledBatch, batch_b: LabeledBatch, alpha: float,
         return LabeledBatch(
             images=batch_a.images, hard_labels=batch_a.hard_labels,
             raw_images=batch_a.raw_images, soft_labels=ya,
-            mixup_lambda=lam, pair_labels=batch_b.hard_labels,
         )
     images = lam * batch_a.images.data + (1.0 - lam) * batch_b.images.data
     soft = lam * ya + (1.0 - lam) * one_hot(batch_b.hard_labels, n_classes)
@@ -122,8 +121,6 @@ def mixup(batch_a: LabeledBatch, batch_b: LabeledBatch, alpha: float,
         hard_labels=batch_a.hard_labels,
         raw_images=batch_a.raw_images,
         soft_labels=soft,
-        mixup_lambda=lam,
-        pair_labels=batch_b.hard_labels,
     )
 
 
@@ -167,21 +164,28 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
+def _selected_forwards(model: InstructionModel, batch: LabeledBatch, bank: PromptBank, k: int):
+    """Per image: ``select``, its ``selected_bank`` and one batch-size-1 forward.
+
+    Yields ``(label, selection, output)`` in batch order.
+    """
+    for i in range(len(batch)):
+        sel = select(batch.raw_images[i], bank, k)
+        out = model.forward(Tensor(batch.images.data[i : i + 1]), bank=selected_bank(bank, sel))
+        yield int(batch.hard_labels[i]), sel, out
+
+
 def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch,
                          bank: PromptBank, k: int) -> tuple[Tensor, float, float]:
     """Per-image selection during training (the ablation path).
 
     Each image sees only its own top-k prompts plus the remainder token; the
     similarity loss is computed for the samples whose true class survived
-    the filter and skipped for the rest.
+    the filter and skipped for the rest. Returns what ``total_loss`` does.
     """
     pred_terms: list[Tensor] = []
     score_terms: list[Tensor] = []
-    for i in range(len(batch)):
-        sel = select(batch.raw_images[i], bank, k)
-        mini = selected_bank(bank, sel)
-        out = model.forward(Tensor(batch.images.data[i : i + 1]), bank=mini)
-        label = int(batch.hard_labels[i])
+    for label, sel, out in _selected_forwards(model, batch, bank, k):
         pred_terms.append(model.loss_pred(out.logits, np.array([label])))
         if label in sel.kept_indices:
             col = sel.kept_indices.index(label)
@@ -271,12 +275,7 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
                     target = batch.soft_labels
                 else:
                     target = batch.hard_labels
-                out = model.forward(batch.images)
-                loss_pred = model.loss_pred(out.logits, target)
-                loss_score = model.loss_score(out.score, target) if out.score.shape[1] else None
-                loss = model.combine_losses(loss_pred, loss_score)
-                pred_val = loss_pred.item()
-                score_val = loss_score.item() if loss_score is not None else 0.0
+                loss, pred_val, score_val = model.total_loss(model.forward(batch.images), target)
 
             model.zero_grad()
             T.backward(loss)
@@ -342,15 +341,9 @@ def _eval_batch_selected(model: InstructionModel, batch: LabeledBatch,
                          bank: PromptBank, k: int) -> tuple[int, int]:
     head_hits = 0
     score_hits = 0
-    for i in range(len(batch)):
-        sel = select(batch.raw_images[i], bank, k)
-        mini = selected_bank(bank, sel)
-        image = Tensor(batch.images.data[i : i + 1])
-        out = model.forward(image, bank=mini)
-        if int(np.argmax(out.logits.data[0])) == batch.hard_labels[i]:
-            head_hits += 1
-        if predict_from_selection(out.score.data[0], sel) == batch.hard_labels[i]:
-            score_hits += 1
+    for label, sel, out in _selected_forwards(model, batch, bank, k):
+        head_hits += int(np.argmax(out.logits.data[0])) == label
+        score_hits += predict_from_selection(out.score.data[0], sel) == label
     return head_hits, score_hits
 
 

@@ -174,9 +174,11 @@ class TestLosses:
         model, _ = make_model(n_classes=2, n_prompts=2)
         out = model.forward(images_for(model))
         target = np.array([0, 1])
-        total = model.total_loss(out, target).item()
-        parts = model.loss_pred(out.logits, target).item() + model.loss_score(out.score, target).item()
-        assert total == pytest.approx(parts, abs=1e-9)
+        loss, pred, score = model.total_loss(out, target)
+        total = loss.item()
+        assert (pred, score) == (model.loss_pred(out.logits, target).item(),
+                                 model.loss_score(out.score, target).item())
+        assert total == pytest.approx(pred + score, abs=1e-9)
         assert total >= max(model.loss_pred(out.logits, target).item(),
                             model.loss_score(out.score, target).item()) >= 0.0
 
@@ -191,7 +193,7 @@ class TestLosses:
             T.backward(loss_fn())
             return probe.grad.copy()
 
-        g_total = grad_of(lambda: model.total_loss(model.forward(images), target))
+        g_total = grad_of(lambda: model.total_loss(model.forward(images), target)[0])
         g_pred = grad_of(lambda: model.loss_pred(model.forward(images).logits, target))
         g_score = grad_of(lambda: model.loss_score(model.forward(images).score, target))
         denom = np.abs(g_total).max() + 1e-12
@@ -202,8 +204,9 @@ class TestLosses:
         model.set_bank(None)
         out = model.forward(images_for(model))
         assert out.score.shape == (2, 0)
-        total = model.total_loss(out, np.array([0, 1])).item()
-        assert total == pytest.approx(model.loss_pred(out.logits, np.array([0, 1])).item(), abs=1e-9)
+        loss, pred, score = model.total_loss(out, np.array([0, 1]))
+        assert score == 0.0
+        assert loss.item() == pytest.approx(model.loss_pred(out.logits, np.array([0, 1])).item(), abs=1e-9)
 
     def test_loss_weights_apply(self):
         model, _ = make_model(n_classes=2, n_prompts=2, loss_pred_weight=2.0, loss_score_weight=0.5)
@@ -211,7 +214,11 @@ class TestLosses:
         target = np.array([0, 1])
         expected = 2.0 * model.loss_pred(out.logits, target).item() \
             + 0.5 * model.loss_score(out.score, target).item()
-        assert model.total_loss(out, target).item() == pytest.approx(expected, abs=1e-9)
+        loss, pred, score = model.total_loss(out, target)
+        assert loss.item() == pytest.approx(expected, abs=1e-9)
+        # the logged terms are unweighted
+        assert (pred, score) == (model.loss_pred(out.logits, target).item(),
+                                 model.loss_score(out.score, target).item())
 
 
 class TestPredict:

@@ -5,6 +5,7 @@ double precision (the independent oracle); expected values for the worked
 examples are computed inline from their definitions before being asserted.
 """
 
+import inspect
 import itertools
 import math
 
@@ -136,18 +137,6 @@ class TestStructuralOps:
     def test_gelu_zero(self):
         assert T.gelu(Tensor([0.0])).data[0] == 0.0
 
-    def test_mean_drops_axis(self):
-        out = T.mean(Tensor([[1.0, 2.0], [3.0, 4.0]]), axis=0)
-        np.testing.assert_allclose(out.data, [2.0, 3.0])
-
-    def test_embedding_select_gathers_rows(self):
-        table = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
-        out = T.embedding_select(table, [2, 0, 2])
-        np.testing.assert_array_equal(out.data, table.data[[2, 0, 2]])
-
-    def test_embedding_select_out_of_range(self):
-        with pytest.raises(IndexError):
-            T.embedding_select(Tensor(np.zeros((4, 3))), [4])
 
 
 class TestBackward:
@@ -171,7 +160,7 @@ class TestBackward:
     def test_reachable_tensors_get_grads(self):
         x = t64([[0.3, -0.2]], requires_grad=True)
         y = T.gelu(x)
-        loss = T.mean(T.reshape(y, (2,)), axis=0)
+        loss = T.reshape(T.matmul(y, t64([[0.5], [0.5]])), ())
         T.backward(loss)
         assert x.grad is not None and y.grad is not None
 
@@ -208,11 +197,10 @@ def test_all_ops_match_finite_differences():
 
 
 def test_op_case_table_covers_library():
-    names = set(op_cases(0))
-    for expected in ("matmul", "softmax", "l2_normalize", "cross_entropy", "layer_norm",
-                     "gelu", "add", "scale", "concat", "narrow", "mean",
-                     "embedding_select", "batched_dot"):
-        assert expected in names
+    """Every public differentiable op has a gradient case, and every case is such an op."""
+    public = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+              if fn.__module__ == T.__name__ and not name.startswith("_")}
+    assert set(op_cases(0)) - {"matmul_batched"} == public - {"backward", "erf"}
 
 
 def test_evaluation_is_deterministic():
@@ -429,8 +417,6 @@ PINNED_SUITE_ERRORS = {
         "reshape": 1.61943114195597e-11,
         "concat": 6.641390097927787e-12,
         "narrow": 5.169748547519349e-12,
-        "mean": 1.9098209513888496e-11,
-        "embedding_select": 6.051990366370884e-12,
         "batched_dot": 5.871647036908271e-12,
         "softmax": 5.867343710407894e-11,
         "l2_normalize": 5.929860949694604e-11,
@@ -451,8 +437,6 @@ PINNED_SUITE_ERRORS = {
         "reshape": 1.2123311192326587e-11,
         "concat": 5.266905644168607e-12,
         "narrow": 1.7896439309512199e-12,
-        "mean": 4.687603258851085e-12,
-        "embedding_select": 3.5041164113371854e-12,
         "batched_dot": 6.6289225436892855e-12,
         "softmax": 3.418230297609323e-11,
         "l2_normalize": 1.5070039845109314e-10,
@@ -473,8 +457,6 @@ PINNED_SUITE_ERRORS = {
         "reshape": 4.864800667379407e-12,
         "concat": 4.465467118858149e-12,
         "narrow": 5.339420327832551e-12,
-        "mean": 1.389928875881877e-11,
-        "embedding_select": 6.395635213662676e-12,
         "batched_dot": 2.7026411039096548e-11,
         "softmax": 4.130464325400385e-11,
         "l2_normalize": 3.2574249477903406e-11,
@@ -495,8 +477,6 @@ PINNED_SUITE_ERRORS = {
         "reshape": 8.62169344416483e-12,
         "concat": 9.736843325096794e-12,
         "narrow": 6.488627271563173e-12,
-        "mean": 1.0628399956092386e-11,
-        "embedding_select": 5.170546191049259e-12,
         "batched_dot": 9.699685154608534e-12,
         "softmax": 4.092591317478163e-11,
         "l2_normalize": 4.395096052115101e-11,
@@ -517,8 +497,6 @@ PINNED_SUITE_ERRORS = {
         "reshape": 5.848464204095453e-12,
         "concat": 6.078607275491822e-12,
         "narrow": 6.011633966351081e-12,
-        "mean": 8.900722215348158e-12,
-        "embedding_select": 7.93951400987825e-12,
         "batched_dot": 4.916205218293664e-12,
         "softmax": 4.2951931239568586e-11,
         "l2_normalize": 2.5857304449776214e-11,

@@ -126,14 +126,12 @@ class TestMixup:
     def test_alpha_zero_returns_first_batch(self):
         a, b = self.make_batches()
         out = mixup(a, b, 0.0, np.random.default_rng(0), n_classes=2)
-        assert out.mixup_lambda == 1.0
         np.testing.assert_array_equal(out.images.data, a.images.data)
         np.testing.assert_array_equal(out.soft_labels, np.eye(2)[a.hard_labels])
 
     def test_half_lambda_mixes_pixels(self):
         a, b = self.make_batches()
         out = mixup(a, b, 0.2, _HalfRng(), n_classes=2)
-        assert out.mixup_lambda == 0.5
         np.testing.assert_allclose(out.images.data, 0.5)
 
     def test_soft_rows_sum_to_one(self):
@@ -147,8 +145,9 @@ class TestMixup:
         a, b = self.make_batches()
         out = mixup(a, b, 0.2, _HalfRng(), n_classes=2)
         np.testing.assert_array_equal(out.hard_labels, a.hard_labels)
-        np.testing.assert_array_equal(out.pair_labels, b.hard_labels)
-        assert out.mixup_lambda is not None
+        # the partner labels and lambda live in the soft labels
+        np.testing.assert_array_equal(out.soft_labels,
+                                      0.5 * np.eye(2)[a.hard_labels] + 0.5 * np.eye(2)[b.hard_labels])
 
 
 def checksums(model, prefix):
