@@ -8,6 +8,7 @@ Exit codes (stable contract):
     2  argument error
     3  I/O or file-format error
     4  consistency error (data/bank/checkpoint/config disagree)
+    5  training diverged (a non-finite loss or parameter; nothing more is written)
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import dataset as ds
 from .checkpoint import model_from_checkpoint
 from .config import parse_run_config, run_config_defaults, split_run_config
-from .errors import ConfigError, ConsistencyError, FormatError
+from .errors import ConfigError, ConsistencyError, FormatError, NonFiniteError
 from .gradcheck import ELEMENTWISE_TOL, MODEL_TOL, run_suite
 from .model import InstructionModel
 from .prompts import build_image_bank, build_mixed_bank, build_text_bank, load_bank, save_bank
@@ -32,6 +33,7 @@ EXIT_CHECK = 1
 EXIT_ARGS = 2
 EXIT_IO = 3
 EXIT_CONSISTENCY = 4
+EXIT_NONFINITE = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -197,6 +199,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ARGS
+    except NonFiniteError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NONFINITE
 
 
 if __name__ == "__main__":

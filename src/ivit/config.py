@@ -174,6 +174,7 @@ def dump_model_config(cfg: ModelConfig) -> str:
 
 
 def parse_model_config(text: str) -> ModelConfig:
+    """Inverse of `dump_model_config`: every field must be echoed, and nothing else."""
     fields = {f.name: f for f in dataclasses.fields(ModelConfig)}
     kwargs = {}
     for line in text.splitlines():
@@ -194,4 +195,7 @@ def parse_model_config(text: str) -> ModelConfig:
             kwargs[key] = float(raw)
         else:
             kwargs[key] = raw.strip()
+    missing = sorted(set(fields) - set(kwargs))
+    if missing:  # save_checkpoint echoes every field, so a gap means a corrupt echo
+        raise ConfigError(f"checkpoint echo is missing keys {missing}")
     return ModelConfig(**kwargs)

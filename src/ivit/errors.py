@@ -33,3 +33,7 @@ class ConsistencyError(ValueError):
 
 class ConfigError(ValueError):
     """Unknown or invalid configuration key or value."""
+
+
+class NonFiniteError(ArithmeticError):
+    """Training produced a non-finite loss or parameter."""

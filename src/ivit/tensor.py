@@ -471,10 +471,13 @@ def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
     """Mean over the batch of ``-sum(target * log_softmax(logits))``.
 
     ``target`` rows are soft labels and must each sum to 1 (one-hot rows for
-    hard labels). Returns a 0-d tensor.
+    hard labels). Returns a 0-d tensor. An empty batch has no mean and is a
+    ``ShapeError``.
     """
     if logits.ndim != 2 or target.ndim != 2 or logits.shape != target.shape:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs target {target.shape}")
+    if logits.shape[0] == 0:
+        raise ShapeError(f"cross_entropy: empty batch, logits {logits.shape}")
     row_sums = target.data.sum(axis=1)
     if not (np.abs(row_sums - 1.0) <= _ROW_SUM_TOL).all():  # np.allclose, without its overhead
         raise ValueError("cross_entropy: target rows must sum to 1")

@@ -25,7 +25,7 @@ from . import _blas
 from . import tensor as T
 from .config import TrainConfig
 from .dataset import LabeledBatch, SyntheticDataset
-from .errors import ConfigError, ConsistencyError, ShapeError
+from .errors import ConfigError, ConsistencyError, NonFiniteError, ShapeError
 from .model import InstructionModel, one_hot
 from .prompts import PromptBank
 from .selection import predict_from_selection, select, selected_bank
@@ -203,6 +203,12 @@ def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch,
     return loss, pred.item(), score.item() if score is not None else 0.0
 
 
+def _check_finite(params: dict[str, Tensor], epoch: int) -> None:
+    for name, p in params.items():
+        if not np.isfinite(p.data).all():
+            raise NonFiniteError(f"epoch {epoch}: parameter {name} is not finite")
+
+
 def apply_freeze(model: InstructionModel, policy: FreezePolicy) -> tuple[dict[str, Tensor], int, int]:
     """Mark frozen parameters as non-differentiable; returns (trainable, n_train, n_total)."""
     trainable: dict[str, Tensor] = {}
@@ -225,7 +231,9 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     """Run the full loop; returns the per-epoch metrics history.
 
     When ``out_dir`` is set, a checkpoint lands there every epoch plus a
-    final ``metrics.csv``. ``stop_at_head_top1`` ends training early once the
+    final ``metrics.csv``. A non-finite step loss, or a trainable parameter
+    that is not finite at the end of an epoch, raises ``NonFiniteError``
+    before anything more is written. ``stop_at_head_top1`` ends training early once the
     train-split accuracy reaches the threshold (used by smoke tests).
     """
     if dataset.class_names != bank.class_names:
@@ -277,6 +285,9 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
                     target = batch.hard_labels
                 loss, pred_val, score_val = model.total_loss(model.forward(batch.images), target)
 
+            total = loss.item()
+            if not math.isfinite(total):
+                raise NonFiniteError(f"epoch {epoch}, step {global_step + 1}: training loss is {total}")
             model.zero_grad()
             T.backward(loss)
             grads = {name: p.grad for name, p in trainable.items() if p.grad is not None}
@@ -288,7 +299,7 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
 
             sums["pred"] += pred_val
             sums["score"] += score_val
-            sums["total"] += loss.item()
+            sums["total"] += total
             n_batches += 1
 
         ev = evaluate(model, dataset, bank, split="train", batch_size=cfg.batch_size)
@@ -302,6 +313,8 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
             lr=lr,
         )
         history.append(metrics)
+        # final.ckpt holds these same parameters, so this covers every write
+        _check_finite(trainable, epoch)
         if out_dir:
             save_checkpoint(os.path.join(out_dir, f"epoch_{epoch:03d}.ckpt"), model, step=global_step)
         if stop_at_head_top1 is not None and metrics.head_top1 >= stop_at_head_top1:

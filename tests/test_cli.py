@@ -6,6 +6,7 @@ directly.
 
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -142,6 +143,24 @@ class TestTrainEval:
                            "--config", str(fast_config(tmp_path)), "--out", str(tmp_path / "x"))
         assert code == 4 and "classes" in err
 
+    def test_bad_config_wins_over_mismatched_bank(self, tmp_path, data_dir, bank_path, capsys):
+        other = tmp_path / "other"
+        assert main(["gen-data", "--out", str(other), "--classes", "3", "--train", "12",
+                     "--val", "6", "--size", "8", "--seed", "2"]) == 0
+        code, _, err = run(capsys, "train", "--data", str(other), "--bank", str(bank_path),
+                           "--config", str(fast_config(tmp_path, epochs=0)), "--out", str(tmp_path / "x"))
+        assert code == 2 and "epochs" in err
+
+    def test_diverging_run_exits_5_and_writes_nothing_more(self, tmp_path, data_dir, bank_path, capsys):
+        run_dir = tmp_path / "run"
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the input under test
+            code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                               "--config", str(fast_config(tmp_path, peak_lr=1e30)), "--out", str(run_dir))
+        assert code == 5 and "Traceback" not in err
+        failing = int(re.fullmatch(r"error: epoch (\d+)\D.*\n", err).group(1))
+        # no checkpoint of the failing epoch, no final.ckpt and no metrics.csv
+        assert sorted(os.listdir(run_dir)) == [f"epoch_{e:03d}.ckpt" for e in range(1, failing)]
+
     def test_unknown_config_key_exits_2(self, tmp_path, data_dir, bank_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("learnign_rate=0.1\n")
@@ -211,15 +230,19 @@ class TestTrainEval:
         (b"\ndim=16\n", b"\ndim=xx\n"),
         (b"\ndim=16\n", b"\ndim=1\xff\n"),
         (b"\nheads=2\n", b"\nheads=0\n"),
-    ], ids=["dim=xx", "0xff-byte", "heads=0"])
+        (b"\ndim=16\n", b"\n"),
+    ], ids=["dim=xx", "0xff-byte", "heads=0", "dim-missing"])
     def test_corrupt_config_echo_exits_3(self, tmp_path, data_dir, bank_path, capsys, old, new):
         run_dir = tmp_path / "run"
         assert run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
                    "--config", str(fast_config(tmp_path, epochs=1)), "--out", str(run_dir))[0] == 0
         ckpt = run_dir / "final.ckpt"
         blob = ckpt.read_bytes()
-        assert blob.count(old) == 1 and len(old) == len(new)  # the echo keeps its length
-        ckpt.write_bytes(blob.replace(old, new))
+        (echo_len,) = struct.unpack_from("<I", blob, 8)  # after the magic and the version
+        echo = blob[12 : 12 + echo_len]
+        assert echo.count(old) == 1
+        echo = echo.replace(old, new)
+        ckpt.write_bytes(blob[:8] + struct.pack("<I", len(echo)) + echo + blob[12 + echo_len :])
         code, _, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
                            "--checkpoint", str(ckpt))
         assert code == 3
@@ -254,6 +277,26 @@ class TestTrainEval:
         code, out, _ = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
                            "--checkpoint", str(run_dir / "final.ckpt"), "--select-k", "2")
         assert code == 0 and out.startswith("head_top1=")
+
+    def test_eval_select_k_below_1_exits_2(self, tmp_path, data_dir, bank_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                   "--config", str(fast_config(tmp_path, epochs=1)), "--out", str(run_dir))[0] == 0
+        for k in ("0", "-1"):
+            code, _, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                               "--checkpoint", str(run_dir / "final.ckpt"), "--select-k", k)
+            assert code == 2 and "select_k" in err and "Traceback" not in err
+
+    def test_eval_bank_of_another_width_exits_4(self, tmp_path, data_dir, bank_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                   "--config", str(fast_config(tmp_path, epochs=1)), "--out", str(run_dir))[0] == 0
+        wide = tmp_path / "wide.ivpb"
+        assert main(["build-bank", "--data", str(data_dir), "--modality", "text",
+                     "--dim", "24", "--out", str(wide)]) == 0
+        code, _, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(wide),
+                           "--checkpoint", str(run_dir / "final.ckpt"))
+        assert code == 4 and "bank feature width 24 != configured prompt_dim 16" in err
 
     def test_eval_wrong_geometry_exits_4(self, tmp_path, data_dir, bank_path, capsys):
         run_dir = tmp_path / "run"

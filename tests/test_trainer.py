@@ -13,7 +13,7 @@ from ivit import _blas
 from ivit import dataset as ds
 from ivit import trainer as trainer_mod
 from ivit.config import ModelConfig, TrainConfig
-from ivit.errors import ConfigError, ConsistencyError
+from ivit.errors import ConfigError, ConsistencyError, NonFiniteError
 from ivit.model import InstructionModel
 from ivit.prompts import build_text_bank
 from ivit.tensor import Tensor
@@ -225,6 +225,23 @@ class TestTrainLoop:
         lines = path.read_text().splitlines()
         assert lines[0] == METRICS_HEADER == "epoch,loss_pred,loss_score,loss_total,head_top1,score_top1,lr"
         assert lines[1] == "1,0.5,0.25,0.75,0.875,0.5,0.0001"
+
+
+def test_non_finite_parameter_stops_before_the_checkpoint(tmp_path, monkeypatch):
+    model, data, bank = tiny_setup(tmp_path)
+    real_step = trainer_mod.adam_step
+
+    def poisoning_step(params, grads, state, lr, cfg):
+        real_step(params, grads, state, lr, cfg)
+        if state.t == 2:  # the epoch's last step: its loss was read while still finite
+            params["head.bias"].data[0] = np.inf
+
+    monkeypatch.setattr(trainer_mod, "adam_step", poisoning_step)
+    out = tmp_path / "run"
+    with pytest.raises(NonFiniteError, match="epoch 1: parameter head.bias"):
+        train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, mixup_alpha=0.0),
+              out_dir=str(out))
+    assert os.listdir(out) == []
 
 
 class TestSelectionInTraining:
