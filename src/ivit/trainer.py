@@ -203,12 +203,6 @@ def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch,
     return loss, pred.item(), score.item() if score is not None else 0.0
 
 
-def _check_finite(params: dict[str, Tensor], epoch: int) -> None:
-    for name, p in params.items():
-        if not np.isfinite(p.data).all():
-            raise NonFiniteError(f"epoch {epoch}: parameter {name} is not finite")
-
-
 def apply_freeze(model: InstructionModel, policy: FreezePolicy) -> tuple[dict[str, Tensor], int, int]:
     """Mark frozen parameters as non-differentiable; returns (trainable, n_train, n_total)."""
     trainable: dict[str, Tensor] = {}
@@ -233,8 +227,9 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     When ``out_dir`` is set, a checkpoint lands there every epoch plus a
     final ``metrics.csv``. A non-finite step loss, or a trainable parameter
     that is not finite at the end of an epoch, raises ``NonFiniteError``
-    before anything more is written. ``stop_at_head_top1`` ends training early once the
-    train-split accuracy reaches the threshold (used by smoke tests).
+    before anything more is written. ``stop_at_head_top1`` ends training
+    early once the train-split accuracy reaches the threshold (used by smoke
+    tests).
     """
     if dataset.class_names != bank.class_names:
         raise ConsistencyError(
@@ -302,6 +297,10 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
             sums["total"] += total
             n_batches += 1
 
+        # before the epoch's eval and checkpoint; final.ckpt holds these same parameters
+        for name, p in trainable.items():
+            if not np.isfinite(p.data).all():
+                raise NonFiniteError(f"epoch {epoch}: parameter {name} is not finite")
         ev = evaluate(model, dataset, bank, split="train", batch_size=cfg.batch_size)
         metrics = EpochMetrics(
             epoch=epoch,
@@ -313,8 +312,6 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
             lr=lr,
         )
         history.append(metrics)
-        # final.ckpt holds these same parameters, so this covers every write
-        _check_finite(trainable, epoch)
         if out_dir:
             save_checkpoint(os.path.join(out_dir, f"epoch_{epoch:03d}.ckpt"), model, step=global_step)
         if stop_at_head_top1 is not None and metrics.head_top1 >= stop_at_head_top1:
