@@ -157,7 +157,8 @@ class TestTrainEval:
             code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
                                "--config", str(fast_config(tmp_path, peak_lr=1e30)), "--out", str(run_dir))
         assert code == 5 and "Traceback" not in err
-        failing = int(re.fullmatch(r"error: epoch (\d+)\D.*\n", err).group(1))
+        # the step's loss stops the run before its non-finite update is applied
+        failing = int(re.fullmatch(r"error: epoch (\d+), step \d+: training loss is \S+\n", err).group(1))
         # no checkpoint of the failing epoch, no final.ckpt and no metrics.csv
         assert sorted(os.listdir(run_dir)) == [f"epoch_{e:03d}.ckpt" for e in range(1, failing)]
 

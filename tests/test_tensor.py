@@ -138,7 +138,6 @@ class TestStructuralOps:
         assert T.gelu(Tensor([0.0])).data[0] == 0.0
 
 
-
 class TestBackward:
     def test_repeated_backward_accumulates(self):
         x = t64([[1.0, 2.0]], requires_grad=True)
