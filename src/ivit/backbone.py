@@ -33,7 +33,7 @@ class BackboneConfig:
     depth: int
     heads: int
     mlp_ratio: float = 4.0
-    attn_dropout: float = 0.0  # applied to attention rows in training mode only
+    attn_dropout: float = 0.0  # applied to attention rows when a forward gets a dropout rng
 
     def __post_init__(self):
         if self.image_size % self.patch_size != 0:
@@ -174,9 +174,6 @@ class Backbone:
         )
         self.blocks = [Block(cfg, rng, dtype) for _ in range(cfg.depth)]
         self.final_ln = LayerNorm(cfg.dim, dtype)
-        # only consulted when attn_dropout > 0 and a training rng is supplied
-        self.training = False
-        self.dropout_rng: np.random.Generator | None = None
 
     def patch_embed(self, images: Tensor) -> Tensor:
         """[B, C, H, W] -> [B, N, dim]: non-overlapping patches, flattened and projected."""
@@ -202,13 +199,14 @@ class Backbone:
         seq = T.concat([cls, patches], axis=1)
         return T.add_bias(seq, self.pos_embed)
 
-    def encoder_forward(self, seq: TokenSequence) -> TokenSequence:
+    def encoder_forward(self, seq: TokenSequence,
+                        dropout_rng: np.random.Generator | None = None) -> TokenSequence:
+        """Blocks, then the final norm; attention dropout draws from ``dropout_rng`` if one is given."""
         if seq.tokens.shape[2] != self.cfg.dim:
             raise ShapeError(f"token dim {seq.tokens.shape[2]} != configured dim {self.cfg.dim}")
-        rng = self.dropout_rng if self.training else None
         x = seq.tokens
         for block in self.blocks:
-            x = block(x, dropout_rng=rng)
+            x = block(x, dropout_rng=dropout_rng)
         x = self.final_ln(x)
         return TokenSequence(x, seq.n_patches, seq.n_prompts)
 

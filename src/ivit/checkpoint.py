@@ -20,6 +20,7 @@ import struct
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .config import ModelConfig, dump_model_config, parse_model_config
 from .errors import (
     BadMagicError,
@@ -48,8 +49,7 @@ def save_checkpoint(path, model: InstructionModel, step: int = 0) -> None:
         blob += struct.pack("<B", data.ndim)
         blob += struct.pack(f"<{data.ndim}I", *data.shape)
         blob += data.tobytes()
-    with open(path, "wb") as f:
-        f.write(bytes(blob))
+    write_atomic(path, blob)
 
 
 class _Reader:

@@ -72,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--select-k", type=int, default=None,
                    help="zero-shot prompt selection: keep K prompts plus one averaged remainder")
-    p.add_argument("--mode", choices=["head", "score"], default="head",
-                   help="prediction route of primary interest; both top-1 values are always reported")
     p.add_argument("--split", choices=["train", "val"], default="val")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all op and model gradients")

@@ -27,6 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .errors import ConsistencyError, FormatError, TruncatedFileError
 from .tensor import Tensor
 
@@ -129,8 +130,7 @@ def _write_meta(path, meta: DatasetMeta) -> None:
         "[classes]",
         *meta.class_names,
     ]
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _read_meta(path) -> DatasetMeta:
@@ -221,13 +221,18 @@ class SyntheticDataset:
         return self._batches(self.val_images, self.val_labels, batch_size, np.arange(self.meta.n_val))
 
     def save(self, out_dir) -> None:
-        """Write the dataset directory; a loaded dataset re-saves byte-identically."""
+        """Write the dataset directory; a loaded dataset re-saves byte-identically.
+
+        Each file is replaced atomically, but the directory as a whole is not:
+        a failure part-way can leave new files next to old ones.
+        """
         os.makedirs(out_dir, exist_ok=True)
         _write_meta(os.path.join(out_dir, "meta.txt"), self.meta)
-        self.train_images.astype("<f4").tofile(os.path.join(out_dir, "train_images.bin"))
-        self.train_labels.astype("<u4").tofile(os.path.join(out_dir, "train_labels.bin"))
-        self.val_images.astype("<f4").tofile(os.path.join(out_dir, "val_images.bin"))
-        self.val_labels.astype("<u4").tofile(os.path.join(out_dir, "val_labels.bin"))
+        for name, arr, fmt in (("train_images", self.train_images, "<f4"),
+                               ("train_labels", self.train_labels, "<u4"),
+                               ("val_images", self.val_images, "<f4"),
+                               ("val_labels", self.val_labels, "<u4")):
+            write_atomic(os.path.join(out_dir, f"{name}.bin"), arr.astype(fmt))
 
 
 def load(path) -> SyntheticDataset:

@@ -227,12 +227,11 @@ def run_model_check(seed: int = 0) -> float:
         source="toy_text",
         seed=0,
     )
-    model.set_bank(bank)
     images = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 4, 4)), dtype=np.float64)
     labels = np.array([0, 1])
 
     def build() -> Tensor:
-        return model.total_loss(model.forward(images), labels)[0]
+        return model.total_loss(model.forward(images, bank), labels)[0]
 
     params = [p for _, p in model.named_parameters()]
     return check_gradients(build, params)

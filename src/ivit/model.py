@@ -1,12 +1,13 @@
 """The prompt-conditioned classifier.
 
 Input tokens are assembled as [CLS | patches(+positions) | prompts]; the
-prompt segment is the active bank's feature rows pushed through a trainable
-affine projection and broadcast identically to every batch element, with no
-positional embedding. After the encoder, the CLS output feeds the
-classification head, and cosine similarities between the normalized CLS
-output and each normalized prompt output form the score row used by the
-similarity loss.
+prompt segment is the feature rows of the bank passed to that forward call,
+pushed through a trainable affine projection and broadcast identically to
+every batch element, with no positional embedding. After the encoder, the
+CLS output feeds the classification head, and cosine similarities between
+the normalized CLS output and each normalized prompt output form the score
+row used by the similarity loss. The model holds only parameters: the bank
+and the attention-dropout rng are arguments of each forward call.
 
 Losses:
     loss_pred  = cross-entropy(head logits, soft target)
@@ -56,47 +57,31 @@ class InstructionModel:
         self.backbone = Backbone(config.backbone(), rng, dtype)
         self.prompt_embed = Linear(config.prompt_dim, config.dim, rng, dtype)
         self.head = Linear(config.dim, config.n_classes, rng, dtype)
-        self.active_bank: PromptBank | None = None
-        self._bank_features: Tensor | None = None
-
-    def set_training(self, training: bool, dropout_rng: np.random.Generator | None = None) -> None:
-        """Toggle training-time stochastic behavior (attention dropout)."""
-        self.backbone.training = training
-        self.backbone.dropout_rng = dropout_rng if training else None
-
-    # -- bank handling ------------------------------------------------------
-
-    def set_bank(self, bank: PromptBank | None) -> None:
-        features = None if bank is None else self._features_for(bank)
-        self.active_bank = bank
-        self._bank_features = features
-
-    def _features_for(self, bank: PromptBank | None) -> Tensor | None:
-        if bank is None or bank is self.active_bank:
-            return self._bank_features
-        if bank.dim != self.config.prompt_dim:
-            raise ConsistencyError(
-                f"bank feature width {bank.dim} != configured prompt_dim {self.config.prompt_dim}"
-            )
-        return Tensor(bank.features.data, requires_grad=False, dtype=self.dtype)
 
     # -- forward ------------------------------------------------------------
 
     def assemble(self, images: Tensor, bank: PromptBank | None = None) -> TokenSequence:
-        """Build the [CLS | patches | prompts] input block."""
-        feats = self._features_for(bank)
+        """Build the [CLS | patches | prompts] input block; no bank means no prompt tokens."""
+        if bank is not None and bank.dim != self.config.prompt_dim:
+            raise ConsistencyError(
+                f"bank feature width {bank.dim} != configured prompt_dim {self.config.prompt_dim}"
+            )
         b = images.shape[0]
         patches = self.backbone.patch_embed(images)
         seq = self.backbone.add_positional(T.broadcast_batch(self.backbone.cls_token, b), patches)
-        n_prompts = 0
-        if feats is not None and feats.shape[0] > 0:
-            prompt_tokens = T.broadcast_batch(self.prompt_embed(feats), b)
-            seq = T.concat([seq, prompt_tokens], axis=1)
-            n_prompts = feats.shape[0]
+        n_prompts = 0 if bank is None else bank.n_classes
+        if n_prompts > 0:
+            feats = Tensor(bank.features.data, requires_grad=False, dtype=self.dtype)
+            seq = T.concat([seq, T.broadcast_batch(self.prompt_embed(feats), b)], axis=1)
         return TokenSequence(seq, self.backbone.cfg.n_patches, n_prompts)
 
-    def forward(self, images: Tensor, bank: PromptBank | None = None) -> ForwardOutput:
-        seq = self.backbone.encoder_forward(self.assemble(images, bank))
+    def forward(self, images: Tensor, bank: PromptBank | None = None,
+                dropout_rng: np.random.Generator | None = None) -> ForwardOutput:
+        """One batch with ``bank``'s rows as prompts (none: empty score row).
+
+        ``dropout_rng`` turns attention dropout on for this call only.
+        """
+        seq = self.backbone.encoder_forward(self.assemble(images, bank), dropout_rng=dropout_rng)
         b, t, d = seq.tokens.shape
         cls_out = T.reshape(T.narrow(seq.tokens, 1, 0, 1), (b, d))
         logits = self.head(cls_out)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from ._atomic import write_atomic
 from .errors import (
     BadMagicError,
     ConsistencyError,
@@ -262,8 +263,7 @@ def save_bank(bank: PromptBank, path) -> None:
         if len(raw) > 0xFFFF:
             raise ValueError(f"class name too long to serialize: {name[:32]!r}...")
         blob += struct.pack("<H", len(raw)) + raw
-    with open(path, "wb") as f:
-        f.write(bytes(blob))
+    write_atomic(path, blob)
 
 
 def load_bank(path) -> PromptBank:

@@ -25,17 +25,19 @@ from .tensor import Tensor
 
 @dataclass
 class SelectionResult:
-    kept_indices: list[int]          # descending score, ties by ascending class index
-    kept_features: Tensor            # [K, D_p]
-    remainder_feature: Tensor | None  # [D_p], None when K >= N
-    scores: Tensor                   # [N] zero-shot similarities
+    """Frozen selection data; none of it is ever differentiated."""
+
+    kept_indices: list[int]                # descending score, ties by ascending class index
+    kept_features: np.ndarray              # [K, D_p]
+    remainder_feature: np.ndarray | None   # [D_p], None when K >= N
+    scores: np.ndarray                     # [N] zero-shot similarities, float32
 
     @property
     def n_tokens(self) -> int:
         return len(self.kept_indices) + (0 if self.remainder_feature is None else 1)
 
 
-def zero_shot_scores(image, bank: PromptBank) -> Tensor:
+def zero_shot_scores(image, bank: PromptBank) -> np.ndarray:
     """Cosine similarity of the image's frozen feature against every bank row."""
     if bank.n_classes == 0:
         raise ConsistencyError("prompt bank is empty")
@@ -43,7 +45,7 @@ def zero_shot_scores(image, bank: PromptBank) -> Tensor:
     f /= np.linalg.norm(f) + 1e-12
     rows = bank.features.data.astype(np.float64)
     rows = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + 1e-12)
-    return Tensor((rows @ f).astype(np.float32))
+    return (rows @ f).astype(np.float32)
 
 
 def rank_descending(scores: np.ndarray) -> np.ndarray:
@@ -56,7 +58,7 @@ def select(image, bank: PromptBank, k: int) -> SelectionResult:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = zero_shot_scores(image, bank)
-    order = rank_descending(scores.data)
+    order = rank_descending(scores)
     feats = bank.features.data
     if k >= bank.n_classes:
         kept = order
@@ -64,10 +66,10 @@ def select(image, bank: PromptBank, k: int) -> SelectionResult:
     else:
         kept = order[:k]
         excluded = order[k:]
-        remainder = Tensor(feats[excluded].astype(np.float64).mean(axis=0).astype(np.float32))
+        remainder = feats[excluded].astype(np.float64).mean(axis=0).astype(np.float32)
     return SelectionResult(
         kept_indices=[int(i) for i in kept],
-        kept_features=Tensor(feats[kept].copy()),
+        kept_features=feats[kept],
         remainder_feature=remainder,
         scores=scores,
     )
@@ -75,10 +77,10 @@ def select(image, bank: PromptBank, k: int) -> SelectionResult:
 
 def selected_bank(bank: PromptBank, sel: SelectionResult) -> PromptBank:
     """A per-image mini-bank: kept rows first, then the remainder token if any."""
-    rows = [sel.kept_features.data]
+    rows = [sel.kept_features]
     names = [bank.class_names[i] for i in sel.kept_indices]
     if sel.remainder_feature is not None:
-        rows.append(sel.remainder_feature.data[None, :])
+        rows.append(sel.remainder_feature[None, :])
         names.append("(remainder)")
     return PromptBank(
         names, Tensor(np.concatenate(rows, axis=0)), bank.modality, bank.source, seed=bank.seed

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _blas
 from . import tensor as T
+from ._atomic import write_atomic
 from .config import TrainConfig
 from .dataset import LabeledBatch, SyntheticDataset
 from .errors import ConfigError, ConsistencyError, NonFiniteError, ShapeError
@@ -164,19 +165,20 @@ def _clip_grads(grads: dict[str, np.ndarray], max_norm: float) -> None:
             g *= scale
 
 
-def _selected_forwards(model: InstructionModel, batch: LabeledBatch, bank: PromptBank, k: int):
+def _selected_forwards(model: InstructionModel, batch: LabeledBatch, bank: PromptBank, k: int,
+                       dropout_rng: np.random.Generator | None = None):
     """Per image: ``select``, its ``selected_bank`` and one batch-size-1 forward.
 
     Yields ``(label, selection, output)`` in batch order.
     """
     for i in range(len(batch)):
         sel = select(batch.raw_images[i], bank, k)
-        out = model.forward(Tensor(batch.images.data[i : i + 1]), bank=selected_bank(bank, sel))
+        out = model.forward(Tensor(batch.images.data[i : i + 1]), selected_bank(bank, sel), dropout_rng)
         yield int(batch.hard_labels[i]), sel, out
 
 
-def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch,
-                         bank: PromptBank, k: int) -> tuple[Tensor, float, float]:
+def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch, bank: PromptBank, k: int,
+                         dropout_rng: np.random.Generator) -> tuple[Tensor, float, float]:
     """Per-image selection during training (the ablation path).
 
     Each image sees only its own top-k prompts plus the remainder token; the
@@ -185,7 +187,7 @@ def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch,
     """
     pred_terms: list[Tensor] = []
     score_terms: list[Tensor] = []
-    for label, sel, out in _selected_forwards(model, batch, bank, k):
+    for label, sel, out in _selected_forwards(model, batch, bank, k, dropout_rng):
         pred_terms.append(model.loss_pred(out.logits, np.array([label])))
         if label in sel.kept_indices:
             col = sel.kept_indices.index(label)
@@ -224,12 +226,15 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
           stop_at_head_top1: float | None = None) -> list[EpochMetrics]:
     """Run the full loop; returns the per-epoch metrics history.
 
-    When ``out_dir`` is set, a checkpoint lands there every epoch plus a
-    final ``metrics.csv``. A non-finite step loss, or a trainable parameter
-    that is not finite at the end of an epoch, raises ``NonFiniteError``
-    before anything more is written. ``stop_at_head_top1`` ends training
-    early once the train-split accuracy reaches the threshold (used by smoke
-    tests).
+    Every training forward gets ``bank`` and the run's attention-dropout rng
+    as arguments; the model keeps neither. When ``out_dir`` is set, a
+    checkpoint lands there every epoch plus a final ``metrics.csv``. A
+    floating-point overflow, invalid value or division by zero in a step
+    (forward, loss, backward, clipping, Adam), a non-finite step loss, or a
+    trainable parameter that is not finite at the end of an epoch, raises
+    ``NonFiniteError`` before anything more is written. ``stop_at_head_top1``
+    ends training early once the train-split accuracy reaches the threshold
+    (used by smoke tests).
     """
     if dataset.class_names != bank.class_names:
         raise ConsistencyError(
@@ -241,7 +246,6 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
 
     from .checkpoint import save_checkpoint  # deferred: checkpoint imports config
 
-    model.set_bank(bank)
     policy = FreezePolicy.for_regime(cfg.regime)
     trainable, _, _ = apply_freeze(model, policy)
     state = AdamState()
@@ -261,36 +265,38 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    model.set_training(True, dropout_rng=np.random.default_rng([cfg.seed, 0xD120]))
+    dropout_rng = np.random.default_rng([cfg.seed, 0xD120])
     for epoch in range(1, cfg.epochs + 1):
         sums = {"pred": 0.0, "score": 0.0, "total": 0.0}
         n_batches = 0
         lr = 0.0
         for batch in dataset.train_batches(cfg.batch_size, rng=rng):
-            if select_training:
-                loss, pred_val, score_val = _selected_batch_loss(
-                    model, batch, bank, model.config.select_k)
-            else:
-                if cfg.mixup_alpha > 0:
-                    perm = rng.permutation(len(batch))
-                    batch = mixup(batch, _permuted(batch, perm), cfg.mixup_alpha, rng,
-                                  dataset.n_classes)
-                    target = batch.soft_labels
-                else:
-                    target = batch.hard_labels
-                loss, pred_val, score_val = model.total_loss(model.forward(batch.images), target)
-
-            total = loss.item()
-            if not math.isfinite(total):
-                raise NonFiniteError(f"epoch {epoch}, step {global_step + 1}: training loss is {total}")
-            model.zero_grad()
-            T.backward(loss)
-            grads = {name: p.grad for name, p in trainable.items() if p.grad is not None}
-            if cfg.grad_clip > 0:
-                _clip_grads(grads, cfg.grad_clip)
             global_step += 1
-            lr = lr_at(global_step, total_steps, cfg)
-            adam_step(trainable, grads, state, lr, cfg)
+            target = batch.hard_labels
+            if cfg.mixup_alpha > 0:
+                perm = rng.permutation(len(batch))
+                batch = mixup(batch, _permuted(batch, perm), cfg.mixup_alpha, rng, dataset.n_classes)
+                target = batch.soft_labels
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    if select_training:
+                        loss, pred_val, score_val = _selected_batch_loss(
+                            model, batch, bank, model.config.select_k, dropout_rng)
+                    else:
+                        out = model.forward(batch.images, bank, dropout_rng)
+                        loss, pred_val, score_val = model.total_loss(out, target)
+                    total = loss.item()
+                    if not math.isfinite(total):
+                        raise NonFiniteError(f"epoch {epoch}, step {global_step}: training loss is {total}")
+                    model.zero_grad()
+                    T.backward(loss)
+                    grads = {name: p.grad for name, p in trainable.items() if p.grad is not None}
+                    if cfg.grad_clip > 0:
+                        _clip_grads(grads, cfg.grad_clip)
+                    lr = lr_at(global_step, total_steps, cfg)
+                    adam_step(trainable, grads, state, lr, cfg)
+            except FloatingPointError as e:
+                raise NonFiniteError(f"epoch {epoch}, step {global_step}: {e}") from e
 
             sums["pred"] += pred_val
             sums["score"] += score_val
@@ -317,7 +323,6 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
         if stop_at_head_top1 is not None and metrics.head_top1 >= stop_at_head_top1:
             break
 
-    model.set_training(False)
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "final.ckpt"), model, step=global_step)
         write_metrics_csv(os.path.join(out_dir, "metrics.csv"), history)
@@ -325,10 +330,8 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
 
 
 def write_metrics_csv(path, history: list[EpochMetrics]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(METRICS_HEADER + "\n")
-        for m in history:
-            f.write(m.csv_row() + "\n")
+    rows = [METRICS_HEADER] + [m.csv_row() for m in history]
+    write_atomic(path, "".join(row + "\n" for row in rows).encode("utf-8"))
 
 
 def _eval_workers() -> int:
@@ -340,8 +343,9 @@ def _eval_workers() -> int:
     return int(raw)
 
 
-def _eval_batch_plain(model: InstructionModel, batch: LabeledBatch) -> tuple[int, int]:
-    out = model.forward(batch.images)
+def _eval_batch_plain(model: InstructionModel, batch: LabeledBatch,
+                     bank: PromptBank) -> tuple[int, int]:
+    out = model.forward(batch.images, bank)
     head_hits = int((model.predict(out, "head") == batch.hard_labels).sum())
     score_hits = int((model.predict(out, "score") == batch.hard_labels).sum())
     return head_hits, score_hits
@@ -357,9 +361,12 @@ def _eval_batch_selected(model: InstructionModel, batch: LabeledBatch,
     return head_hits, score_hits
 
 
-def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank | None = None,
+def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
              select_k: int | None = None, split: str = "val", batch_size: int = 64) -> EvalMetrics:
-    """Top-1 accuracy of both prediction routes over one split.
+    """Top-1 accuracy of both prediction routes over one split, with ``bank`` as the prompts.
+
+    Every forward is deterministic (no dropout rng) and leaves the model as
+    it was, so calls with different banks may share a model.
 
     ``select_k`` routes each image through zero-shot prompt selection first;
     ``select_k >= n_classes`` degenerates to the unselected path (identical
@@ -369,13 +376,8 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     thread, since each is one batch-size-1 forward per image, bound by the
     interpreter, and threads would only contend for the GIL.
     """
-    if bank is not None:
-        if dataset.class_names != bank.class_names:
-            raise ConsistencyError("dataset and bank class lists differ")
-        model.set_bank(bank)
-    bank = model.active_bank
-    if bank is None:
-        raise ConsistencyError("evaluation needs a prompt bank")
+    if dataset.class_names != bank.class_names:
+        raise ConsistencyError("dataset and bank class lists differ")
     if split == "train":
         batches = list(dataset.train_batches(batch_size, shuffle=False))
     elif split == "val":
@@ -392,19 +394,13 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     def work(batch: LabeledBatch) -> tuple[int, int]:
         if use_selection:
             return _eval_batch_selected(model, batch, bank, select_k)
-        return _eval_batch_plain(model, batch)
+        return _eval_batch_plain(model, batch, bank)
 
-    was_training = model.backbone.training
-    saved_rng = model.backbone.dropout_rng
-    model.set_training(False)
-    try:
-        if workers > 1 and len(batches) > 1 and not use_selection:
-            with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(work, batches))
-        else:
-            results = [work(b) for b in batches]
-    finally:
-        model.set_training(was_training, dropout_rng=saved_rng)
+    if workers > 1 and len(batches) > 1 and not use_selection:
+        with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(work, batches))
+    else:
+        results = [work(b) for b in batches]
 
     n = sum(len(b) for b in batches)
     head = sum(r[0] for r in results)

@@ -101,9 +101,8 @@ def test_criterion_2_prompt_permutation_equivariance():
     rng = np.random.default_rng(7)
     bank = PromptBank([f"c{i}" for i in range(8)],
                       Tensor(rng.normal(size=(8, 16))), "text", "toy_text")
-    model.set_bank(bank)
     images = Tensor(rng.normal(size=(3, 3, 16, 16)), dtype=np.float64)
-    base = model.forward(images)
+    base = model.forward(images, bank)
     worst_score = 0.0
     worst_logits = 0.0
     for _ in range(20):
@@ -172,12 +171,12 @@ def test_criterion_4_selection_oracle():
         img = rng.normal(size=(3, 8, 8))
         k = int(rng.integers(1, n + 1))
         sel = select(img, bank, k)
-        expected = oracle(list(sel.scores.data), min(k, n))
+        expected = oracle(list(sel.scores), min(k, n))
         full_ok = full_ok and sel.kept_indices == expected
         if k < n:
             count_ok = count_ok and sel.n_tokens == k + 1
             excluded = [i for i in range(n) if i not in sel.kept_indices]
-            dev = np.abs(sel.remainder_feature.data
+            dev = np.abs(sel.remainder_feature
                          - rows[excluded].astype(np.float64).mean(axis=0)).max()
             remainder_ok = remainder_ok and dev < 1e-5
         else:

@@ -32,7 +32,6 @@ def make_model(n_classes=2, n_prompts=None, dtype=np.float64, seed=0, **kw):
     cfg = tiny_config(n_classes=n_classes, **kw)
     model = InstructionModel(cfg, seed=seed, dtype=dtype)
     bank = random_bank(n_prompts if n_prompts is not None else n_classes, cfg.prompt_dim, seed=seed + 1)
-    model.set_bank(bank)
     return model, bank
 
 
@@ -59,55 +58,54 @@ class TestConfigValidation:
 
 class TestAssemble:
     def test_token_count(self):
-        model, _ = make_model(n_prompts=8, image_size=32, patch_size=8)
-        seq = model.assemble(images_for(model))
+        model, bank = make_model(n_prompts=8, image_size=32, patch_size=8)
+        seq = model.assemble(images_for(model), bank)
         assert seq.length == 1 + 16 + 8
         assert seq.tokens.shape == (2, 25, 16)
 
     def test_empty_bank_degenerates_to_plain_vit(self):
         model, _ = make_model()
-        model.set_bank(None)
         seq = model.assemble(images_for(model))
         assert seq.n_prompts == 0 and seq.length == 1 + 4
 
     def test_prompt_segment_identical_across_batch(self):
-        model, _ = make_model(n_prompts=3)
-        seq = model.assemble(images_for(model, batch=4))
+        model, bank = make_model(n_prompts=3)
+        seq = model.assemble(images_for(model, batch=4), bank)
         prompts = seq.tokens.data[:, -3:]
         for b in range(1, 4):
             np.testing.assert_array_equal(prompts[b], prompts[0])
 
     def test_bank_width_mismatch(self):
         model, _ = make_model()
-        with pytest.raises(ConsistencyError, match="prompt_dim"):
-            model.set_bank(random_bank(2, 5))
+        with pytest.raises(ConsistencyError, match="bank feature width 5 != configured prompt_dim 8"):
+            model.assemble(images_for(model), random_bank(2, 5))
 
 
 class TestForward:
     def test_shapes(self):
-        model, _ = make_model(n_classes=4, n_prompts=6)
-        out = model.forward(images_for(model, batch=3))
+        model, bank = make_model(n_classes=4, n_prompts=6)
+        out = model.forward(images_for(model, batch=3), bank)
         assert out.logits.shape == (3, 4)
         assert out.score.shape == (3, 6)
         assert out.cls_feature.shape == (3, 16)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_outputs_keep_model_dtype(self, dtype):
-        model, _ = make_model(n_classes=3, n_prompts=4, dtype=dtype, depth=2)
-        out = model.forward(images_for(model, batch=2))
+        model, bank = make_model(n_classes=3, n_prompts=4, dtype=dtype, depth=2)
+        out = model.forward(images_for(model, batch=2), bank)
         assert out.logits.dtype == dtype
         assert out.score.dtype == dtype
         assert out.cls_feature.dtype == dtype
 
     def test_score_bounded_by_one(self):
-        model, _ = make_model(n_prompts=5)
-        out = model.forward(images_for(model, batch=8, seed=11))
+        model, bank = make_model(n_prompts=5)
+        out = model.forward(images_for(model, batch=8, seed=11), bank)
         assert (np.abs(out.score.data) <= 1.0 + 1e-6).all()
 
     def test_bank_permutation_permutes_score_columns(self):
         model, bank = make_model(n_prompts=6)
         images = images_for(model, batch=3)
-        base = model.forward(images)
+        base = model.forward(images, bank)
         for trial in range(5):
             perm = np.random.default_rng(trial).permutation(6)
             permuted = PromptBank(
@@ -171,8 +169,8 @@ class TestLosses:
             model.loss_score(score, np.array([3]))
 
     def test_total_is_plain_sum(self):
-        model, _ = make_model(n_classes=2, n_prompts=2)
-        out = model.forward(images_for(model))
+        model, bank = make_model(n_classes=2, n_prompts=2)
+        out = model.forward(images_for(model), bank)
         target = np.array([0, 1])
         loss, pred, score = model.total_loss(out, target)
         total = loss.item()
@@ -183,7 +181,7 @@ class TestLosses:
                             model.loss_score(out.score, target).item()) >= 0.0
 
     def test_total_gradient_is_sum_of_part_gradients(self):
-        model, _ = make_model(n_classes=2, n_prompts=2)
+        model, bank = make_model(n_classes=2, n_prompts=2)
         images = images_for(model)
         target = np.array([0, 1])
         name, probe = next(iter(model.parameter_dict().items()))
@@ -193,15 +191,14 @@ class TestLosses:
             T.backward(loss_fn())
             return probe.grad.copy()
 
-        g_total = grad_of(lambda: model.total_loss(model.forward(images), target)[0])
-        g_pred = grad_of(lambda: model.loss_pred(model.forward(images).logits, target))
-        g_score = grad_of(lambda: model.loss_score(model.forward(images).score, target))
+        g_total = grad_of(lambda: model.total_loss(model.forward(images, bank), target)[0])
+        g_pred = grad_of(lambda: model.loss_pred(model.forward(images, bank).logits, target))
+        g_score = grad_of(lambda: model.loss_score(model.forward(images, bank).score, target))
         denom = np.abs(g_total).max() + 1e-12
         assert np.abs(g_total - (g_pred + g_score)).max() / denom < 1e-6
 
     def test_no_prompts_drops_score_term(self):
         model, _ = make_model(n_classes=2)
-        model.set_bank(None)
         out = model.forward(images_for(model))
         assert out.score.shape == (2, 0)
         loss, pred, score = model.total_loss(out, np.array([0, 1]))
@@ -209,8 +206,8 @@ class TestLosses:
         assert loss.item() == pytest.approx(model.loss_pred(out.logits, np.array([0, 1])).item(), abs=1e-9)
 
     def test_loss_weights_apply(self):
-        model, _ = make_model(n_classes=2, n_prompts=2, loss_pred_weight=2.0, loss_score_weight=0.5)
-        out = model.forward(images_for(model))
+        model, bank = make_model(n_classes=2, n_prompts=2, loss_pred_weight=2.0, loss_score_weight=0.5)
+        out = model.forward(images_for(model), bank)
         target = np.array([0, 1])
         expected = 2.0 * model.loss_pred(out.logits, target).item() \
             + 0.5 * model.loss_score(out.score, target).item()
@@ -249,8 +246,8 @@ class TestPredict:
             assert np.array_equal(cosine_argmax(factor * cls), base)
 
     def test_score_mode_requires_class_alignment(self):
-        model, _ = make_model(n_classes=4, n_prompts=2)
-        out = model.forward(images_for(model))
+        model, bank = make_model(n_classes=4, n_prompts=2)
+        out = model.forward(images_for(model), bank)
         with pytest.raises(ConsistencyError, match="class-aligned"):
             model.predict(out, "score")
 

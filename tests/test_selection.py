@@ -37,18 +37,18 @@ class TestZeroShotScores:
         own = toy_image_encode(img, 24).data
         rng = np.random.default_rng(2)
         rows = np.vstack([rng.normal(size=(4, 24)).astype(np.float32), own])
-        scores = zero_shot_scores(img, bank_from_rows(rows)).data
+        scores = zero_shot_scores(img, bank_from_rows(rows))
         assert scores[-1] == pytest.approx(1.0, abs=1e-6)
         assert scores.argmax() == 4
 
     def test_bounded(self):
-        scores = zero_shot_scores(random_image(3), bank_from_rows(np.random.default_rng(4).normal(size=(6, 24)))).data
+        scores = zero_shot_scores(random_image(3), bank_from_rows(np.random.default_rng(4).normal(size=(6, 24))))
         assert (np.abs(scores) <= 1.0 + 1e-6).all()
 
     def test_matches_naive_loop(self):
         img = random_image(5)
         bank = bank_from_rows(np.random.default_rng(6).normal(size=(7, 24)))
-        scores = zero_shot_scores(img, bank).data
+        scores = zero_shot_scores(img, bank)
         f = toy_image_encode(img, 24).data.astype(np.float64)
         f = f / np.linalg.norm(f)
         for i in range(7):
@@ -64,6 +64,9 @@ class TestSelect:
         assert len(sel.kept_indices) == 2
         assert sel.remainder_feature is not None
         assert sel.n_tokens == 3
+        # frozen data: plain arrays, not autograd tensors
+        for arr in (sel.kept_features, sel.remainder_feature, sel.scores):
+            assert type(arr) is np.ndarray and arr.dtype == np.float32
 
     def test_k_equals_n_keeps_everything(self):
         bank = bank_from_rows(np.random.default_rng(9).normal(size=(3, 24)))
@@ -83,10 +86,10 @@ class TestSelect:
         sel = select(random_image(13), bank, k=2)
         excluded = [i for i in range(6) if i not in sel.kept_indices]
         expected = bank.features.data[excluded].astype(np.float64).mean(axis=0)
-        np.testing.assert_allclose(sel.remainder_feature.data, expected, atol=1e-5)
+        np.testing.assert_allclose(sel.remainder_feature, expected, atol=1e-5)
         # equivalent formulation: remainder * (N - K) == sum of excluded rows
         np.testing.assert_allclose(
-            sel.remainder_feature.data * len(excluded),
+            sel.remainder_feature * len(excluded),
             bank.features.data[excluded].sum(axis=0),
             atol=1e-5,
         )
@@ -96,7 +99,7 @@ class TestSelect:
         a = select(random_image(15), bank, k=2)
         b = select(random_image(15), bank, k=2)
         assert a.kept_indices == b.kept_indices
-        assert np.array_equal(a.kept_features.data, b.kept_features.data)
+        assert np.array_equal(a.kept_features, b.kept_features)
 
 
 def test_ranking_matches_oracle_over_200_random_vectors():
@@ -119,7 +122,7 @@ def test_kept_indices_sorted_by_descending_score_then_index():
     rows = np.eye(5, 24, dtype=np.float32)
     bank = bank_from_rows(rows)
     sel = select(random_image(17), bank, k=4)
-    s = sel.scores.data
+    s = sel.scores
     for a, b in zip(sel.kept_indices, sel.kept_indices[1:]):
         assert (s[a] > s[b]) or (s[a] == s[b] and a < b)
 
@@ -131,15 +134,15 @@ class TestSelectedBank:
         mini = selected_bank(bank, sel)
         assert mini.n_classes == 3
         assert mini.class_names[-1] == "(remainder)"
-        np.testing.assert_array_equal(mini.features.data[:2], sel.kept_features.data)
-        np.testing.assert_array_equal(mini.features.data[2], sel.remainder_feature.data)
+        np.testing.assert_array_equal(mini.features.data[:2], sel.kept_features)
+        np.testing.assert_array_equal(mini.features.data[2], sel.remainder_feature)
 
     def test_remainder_excluded_from_prediction(self):
         sel = SelectionResult(
             kept_indices=[4, 1],
-            kept_features=Tensor(np.zeros((2, 8))),
-            remainder_feature=Tensor(np.zeros(8)),
-            scores=Tensor(np.zeros(6)),
+            kept_features=np.zeros((2, 8)),
+            remainder_feature=np.zeros(8),
+            scores=np.zeros(6),
         )
         # remainder column has the largest model score but cannot win
         row = np.array([0.1, 0.3, 0.9], dtype=np.float32)
@@ -148,9 +151,9 @@ class TestSelectedBank:
     def test_prediction_tie_takes_lowest_class(self):
         sel = SelectionResult(
             kept_indices=[5, 2, 7],
-            kept_features=Tensor(np.zeros((3, 8))),
-            remainder_feature=Tensor(np.zeros(8)),
-            scores=Tensor(np.zeros(8)),
+            kept_features=np.zeros((3, 8)),
+            remainder_feature=np.zeros(8),
+            scores=np.zeros(8),
         )
         row = np.array([0.5, 0.5, 0.5, 0.0], dtype=np.float32)
         assert predict_from_selection(row, sel) == 2

@@ -284,33 +284,50 @@ class TestSelectionInTraining:
 
 
 class TestAttentionDropout:
+    """Dropout reaches the model only through a forward's ``dropout_rng`` argument."""
+
     def make(self, dropout):
         cfg = ModelConfig(image_size=8, patch_size=4, channels=3, dim=16, depth=1, heads=2,
                           mlp_ratio=2.0, prompt_dim=8, n_classes=2, attn_dropout=dropout)
         model = InstructionModel(cfg, seed=0)
         bank = build_text_bank(["a", "b"], 8)
-        model.set_bank(bank)
         images = Tensor(np.random.default_rng(1).normal(size=(2, 3, 8, 8)).astype(np.float32))
-        return model, images
+        return model, bank, images
 
     def test_training_mode_perturbs_forward(self):
-        model, images = self.make(dropout=0.5)
-        base = model.forward(images).logits.data.copy()
-        model.set_training(True, dropout_rng=np.random.default_rng(2))
-        dropped = model.forward(images).logits.data
+        model, bank, images = self.make(dropout=0.5)
+        base = model.forward(images, bank).logits.data
+        dropped = model.forward(images, bank, dropout_rng=np.random.default_rng(2)).logits.data
         assert not np.array_equal(base, dropped)
 
     def test_eval_mode_unaffected(self):
-        model, images = self.make(dropout=0.5)
-        a = model.forward(images).logits.data
-        b = model.forward(images).logits.data
+        model, bank, images = self.make(dropout=0.5)
+        a = model.forward(images, bank).logits.data
+        model.forward(images, bank, dropout_rng=np.random.default_rng(2))  # leaves nothing behind
+        b = model.forward(images, bank).logits.data
         assert np.array_equal(a, b)
 
     def test_default_zero_ignores_rng(self):
-        model, images = self.make(dropout=0.0)
-        base = model.forward(images).logits.data.copy()
-        model.set_training(True, dropout_rng=np.random.default_rng(2))
-        assert np.array_equal(model.forward(images).logits.data, base)
+        model, bank, images = self.make(dropout=0.0)
+        base = model.forward(images, bank).logits.data
+        rng = np.random.default_rng(2)
+        assert np.array_equal(model.forward(images, bank, dropout_rng=rng).logits.data, base)
+        assert rng.random() == np.random.default_rng(2).random()  # no draw was taken
+
+
+def test_train_and_evaluate_leave_the_model_holding_parameters_only(tmp_path):
+    model, data, bank = tiny_setup(tmp_path, n_classes=3, n_train=12, n_val=6)
+    attrs = {id(obj): dict(vars(obj)) for obj in (model, model.backbone)}
+    train(model, data, bank, TrainConfig(epochs=1, batch_size=4, warmup_epochs=0, mixup_alpha=0.2))
+    evaluate(model, data, bank, split="val", batch_size=4)
+    evaluate(model, data, bank, select_k=1, split="val", batch_size=4)
+    for obj in (model, model.backbone):
+        after = vars(obj)
+        assert after.keys() == attrs[id(obj)].keys()
+        assert all(after[k] is v for k, v in attrs[id(obj)].items())
+    # no bank from those calls leaks into a later forward
+    out = model.forward(Tensor(data.val_images[:2].astype(np.float32)))
+    assert out.score.shape == (2, 0)
 
 
 class TestEvaluate:
