@@ -6,7 +6,7 @@ similarity loss, and evaluation can pre-filter prompts with a zero-shot
 top-K selection step.
 """
 
-from .backbone import Backbone, BackboneConfig, TokenSequence
+from .backbone import Backbone
 from .config import ModelConfig, TrainConfig
 from .dataset import LabeledBatch, SyntheticDataset, generate_synthetic, load
 from .model import ForwardOutput, InstructionModel
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Backbone",
-    "BackboneConfig",
     "EvalMetrics",
     "EpochMetrics",
     "ForwardOutput",
@@ -43,7 +42,6 @@ __all__ = [
     "SyntheticDataset",
     "TemplateSet",
     "Tensor",
-    "TokenSequence",
     "TrainConfig",
     "backward",
     "build_image_bank",

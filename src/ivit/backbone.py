@@ -2,76 +2,28 @@
 
 Patch embedding, a learnable CLS token, learnable positional embeddings for
 CLS + patches only, and a stack of pre-norm blocks (LN -> attention ->
-residual, LN -> MLP -> residual) with a final layer norm. Width and depth
-are configurable; dim 768 / depth 12 / heads 12 is the ViT-B point.
+residual, LN -> MLP -> residual) with a final layer norm. Every layer is
+built from the model's ``ModelConfig``; dim 768 / depth 12 / heads 12 is
+the ViT-B point.
 
 Prompt tokens appended after the patches never receive positional
 embeddings, which is what makes the encoder permutation-equivariant over
-the prompt segment.
+the prompt segment. The encoder itself sees a plain [B, T, dim] token
+tensor and never needs the segment layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import tensor as T
+from .config import ModelConfig
 from .errors import ShapeError
 from .tensor import Tensor
 
 INIT_STD = 0.02
-
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    image_size: int
-    patch_size: int
-    channels: int
-    dim: int
-    depth: int
-    heads: int
-    mlp_ratio: float = 4.0
-    attn_dropout: float = 0.0  # applied to attention rows when a forward gets a dropout rng
-
-    def __post_init__(self):
-        if self.image_size % self.patch_size != 0:
-            raise ShapeError(
-                f"image_size {self.image_size} is not divisible by patch_size {self.patch_size}"
-            )
-        if self.dim % self.heads != 0:
-            raise ShapeError(f"dim {self.dim} is not divisible by heads {self.heads}")
-        if not 0.0 <= self.attn_dropout < 1.0:
-            raise ShapeError(f"attn_dropout must be in [0, 1), got {self.attn_dropout}")
-
-    @property
-    def n_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
-
-    @property
-    def patch_dim(self) -> int:
-        return self.channels * self.patch_size * self.patch_size
-
-
-@dataclass
-class TokenSequence:
-    """[CLS | patches | prompts] token block plus its segment layout."""
-
-    tokens: Tensor  # [B, T, dim]
-    n_patches: int
-    n_prompts: int
-
-    def __post_init__(self):
-        if self.tokens.ndim != 3 or self.tokens.shape[1] != 1 + self.n_patches + self.n_prompts:
-            raise ShapeError(
-                f"token sequence shape {self.tokens.shape} does not match layout "
-                f"(1 cls + {self.n_patches} patches + {self.n_prompts} prompts)"
-            )
-
-    @property
-    def length(self) -> int:
-        return 1 + self.n_patches + self.n_prompts
 
 
 class Linear:
@@ -103,11 +55,11 @@ class LayerNorm:
 class MultiHeadAttention:
     """Full bidirectional self-attention over every token (no masking)."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype,
-                 dropout: float = 0.0):
-        self.heads = heads
-        self.head_dim = dim // heads
-        self.dropout = dropout
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype):
+        dim = cfg.dim
+        self.heads = cfg.heads
+        self.head_dim = dim // cfg.heads
+        self.dropout = cfg.attn_dropout
         self.wq = Linear(dim, dim, rng, dtype)
         self.wk = Linear(dim, dim, rng, dtype)
         self.wv = Linear(dim, dim, rng, dtype)
@@ -144,10 +96,10 @@ class MultiHeadAttention:
 
 
 class Block:
-    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator, dtype):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype):
         hidden = int(cfg.dim * cfg.mlp_ratio)
         self.ln1 = LayerNorm(cfg.dim, dtype)
-        self.attn = MultiHeadAttention(cfg.dim, cfg.heads, rng, dtype, dropout=cfg.attn_dropout)
+        self.attn = MultiHeadAttention(cfg, rng, dtype)
         self.ln2 = LayerNorm(cfg.dim, dtype)
         self.fc1 = Linear(cfg.dim, hidden, rng, dtype)
         self.fc2 = Linear(hidden, cfg.dim, rng, dtype)
@@ -165,7 +117,7 @@ class Block:
 
 
 class Backbone:
-    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
         self.patch_proj = Linear(cfg.patch_dim, cfg.dim, rng, dtype)
         self.cls_token = Tensor(rng.normal(0.0, INIT_STD, size=(1, cfg.dim)), requires_grad=True, dtype=dtype)
@@ -199,16 +151,18 @@ class Backbone:
         seq = T.concat([cls, patches], axis=1)
         return T.add_bias(seq, self.pos_embed)
 
-    def encoder_forward(self, seq: TokenSequence,
-                        dropout_rng: np.random.Generator | None = None) -> TokenSequence:
-        """Blocks, then the final norm; attention dropout draws from ``dropout_rng`` if one is given."""
-        if seq.tokens.shape[2] != self.cfg.dim:
-            raise ShapeError(f"token dim {seq.tokens.shape[2]} != configured dim {self.cfg.dim}")
-        x = seq.tokens
+    def encoder_forward(self, tokens: Tensor,
+                        dropout_rng: np.random.Generator | None = None) -> Tensor:
+        """[B, T, dim] -> [B, T, dim]: blocks, then the final norm.
+
+        Attention dropout draws from ``dropout_rng`` if one is given.
+        """
+        if tokens.ndim != 3 or tokens.shape[2] != self.cfg.dim:
+            raise ShapeError(f"tokens shape {tokens.shape} is not [B, T, {self.cfg.dim}]")
+        x = tokens
         for block in self.blocks:
             x = block(x, dropout_rng=dropout_rng)
-        x = self.final_ln(x)
-        return TokenSequence(x, seq.n_patches, seq.n_prompts)
+        return self.final_ln(x)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         yield "cls_token", self.cls_token

@@ -10,7 +10,9 @@ Layout (little-endian):
     entry   u16 name length + UTF-8 name, u8 ndim, ndim * u32 dims,
             float32 LE data
 
-Parameters round-trip bit-exactly. Optimizer state is not stored; runs are
+Nothing may follow the last entry, each name appears once and every value
+is finite; a file that breaks any of these is a format error. Parameters
+round-trip bit-exactly. Optimizer state is not stored; runs are
 desk-scale and exact resume is a non-goal.
 """
 
@@ -90,11 +92,21 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int]:
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"checkpoint {path}: parameter name is not UTF-8: {e}") from e
+        if name in params:
+            raise FormatError(f"checkpoint {path}: parameter {name!r} is stored twice")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         n = int(np.prod(shape)) if ndim else 1
-        params[name] = np.frombuffer(r.take(n * 4), dtype="<f4").reshape(shape).copy()
+        arr = np.frombuffer(r.take(n * 4), dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise FormatError(f"checkpoint {path}: parameter {name!r} holds non-finite values")
+        params[name] = arr
+    if r.off != len(r.blob):
+        raise FormatError(f"checkpoint {path}: {len(r.blob) - r.off} trailing bytes after {count} parameters")
     return config, params, step
 
 

@@ -8,7 +8,8 @@ Exit codes (stable contract):
     2  argument error
     3  I/O or file-format error
     4  consistency error (data/bank/checkpoint/config disagree)
-    5  training diverged (a non-finite loss or parameter; nothing more is written)
+    5  non-finite arithmetic: training diverged (nothing more is written) or
+       evaluation overflowed
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_data(args) -> int:
-    if args.classes < 1 or args.train < 1 or args.val < 1 or args.size < 1:
-        print("gen-data: --classes, --train, --val and --size must be positive", file=sys.stderr)
-        return EXIT_ARGS
     meta = ds.generate_synthetic(
         args.out, n_classes=args.classes, n_train=args.train, n_val=args.val,
         image_size=args.size, channels=args.channels, seed=args.seed,

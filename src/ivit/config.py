@@ -12,7 +12,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .backbone import BackboneConfig
 from .errors import ConfigError
 
 REGIMES = ("full", "prompt_tuning")
@@ -20,7 +19,11 @@ REGIMES = ("full", "prompt_tuning")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters plus the similarity-loss/selection knobs."""
+    """Architecture hyperparameters plus the similarity-loss/selection knobs.
+
+    The one config every model layer is built from; ``n_patches`` and
+    ``patch_dim`` are derived from it, so the checkpoint echo lists fields only.
+    """
 
     image_size: int = 32
     patch_size: int = 8
@@ -52,18 +55,18 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not 0 <= self.attn_dropout < 1:
             raise ConfigError(f"attn_dropout must lie in [0, 1), got {self.attn_dropout}")
+        if self.image_size % self.patch_size != 0:
+            raise ConfigError(f"image_size {self.image_size} is not divisible by patch_size {self.patch_size}")
+        if self.dim % self.heads != 0:
+            raise ConfigError(f"dim {self.dim} is not divisible by heads {self.heads}")
 
-    def backbone(self) -> BackboneConfig:
-        return BackboneConfig(
-            image_size=self.image_size,
-            patch_size=self.patch_size,
-            channels=self.channels,
-            dim=self.dim,
-            depth=self.depth,
-            heads=self.heads,
-            mlp_ratio=self.mlp_ratio,
-            attn_dropout=self.attn_dropout,
-        )
+    @property
+    def n_patches(self) -> int:
+        return (self.image_size // self.patch_size) ** 2
+
+    @property
+    def patch_dim(self) -> int:
+        return self.channels * self.patch_size * self.patch_size
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ at generation time and applied to batches at load time as (x - mean) / std.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -99,7 +100,17 @@ def generate_synthetic(out_dir, n_classes: int, n_train: int, n_val: int,
                        image_size: int, channels: int = 3, seed: int = 0,
                        noise_std: float = NOISE_STD,
                        class_names: list[str] | None = None) -> DatasetMeta:
-    """Write a complete dataset directory; fully deterministic per seed."""
+    """Write a complete dataset directory; fully deterministic per seed.
+
+    Counts, size and channels must be positive and ``noise_std`` finite and
+    non-negative; a bad value raises ``ValueError`` before anything is rendered.
+    """
+    for name, value in (("n_classes", n_classes), ("n_train", n_train), ("n_val", n_val),
+                        ("image_size", image_size), ("channels", channels)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     names = list(class_names) if class_names is not None else default_class_names(n_classes)
     shape = (channels, image_size, image_size)
     train_labels = (np.arange(n_train) % n_classes).astype(np.uint32)

@@ -36,4 +36,4 @@ class ConfigError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """Training produced a non-finite loss or parameter."""
+    """Training or evaluation produced a non-finite or overflowing value."""

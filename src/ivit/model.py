@@ -6,8 +6,10 @@ pushed through a trainable affine projection and broadcast identically to
 every batch element, with no positional embedding. After the encoder, the
 CLS output feeds the classification head, and cosine similarities between
 the normalized CLS output and each normalized prompt output form the score
-row used by the similarity loss. The model holds only parameters: the bank
-and the attention-dropout rng are arguments of each forward call.
+row used by the similarity loss; the prompt segment is whatever follows CLS
+and the config's ``n_patches`` patch tokens. The model holds only
+parameters: the bank and the attention-dropout rng are arguments of each
+forward call.
 
 Losses:
     loss_pred  = cross-entropy(head logits, soft target)
@@ -26,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .backbone import Backbone, Linear, TokenSequence
+from .backbone import Backbone, Linear
 from .config import ModelConfig
 from .errors import ConsistencyError, ShapeError
 from .prompts import PromptBank
@@ -54,14 +56,14 @@ class InstructionModel:
         self.config = config
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        self.backbone = Backbone(config.backbone(), rng, dtype)
+        self.backbone = Backbone(config, rng, dtype)
         self.prompt_embed = Linear(config.prompt_dim, config.dim, rng, dtype)
         self.head = Linear(config.dim, config.n_classes, rng, dtype)
 
     # -- forward ------------------------------------------------------------
 
-    def assemble(self, images: Tensor, bank: PromptBank | None = None) -> TokenSequence:
-        """Build the [CLS | patches | prompts] input block; no bank means no prompt tokens."""
+    def assemble(self, images: Tensor, bank: PromptBank | None = None) -> Tensor:
+        """Build the [B, T, dim] [CLS | patches | prompts] input block; no bank means no prompt tokens."""
         if bank is not None and bank.dim != self.config.prompt_dim:
             raise ConsistencyError(
                 f"bank feature width {bank.dim} != configured prompt_dim {self.config.prompt_dim}"
@@ -69,11 +71,10 @@ class InstructionModel:
         b = images.shape[0]
         patches = self.backbone.patch_embed(images)
         seq = self.backbone.add_positional(T.broadcast_batch(self.backbone.cls_token, b), patches)
-        n_prompts = 0 if bank is None else bank.n_classes
-        if n_prompts > 0:
+        if bank is not None and bank.n_classes > 0:
             feats = Tensor(bank.features.data, requires_grad=False, dtype=self.dtype)
             seq = T.concat([seq, T.broadcast_batch(self.prompt_embed(feats), b)], axis=1)
-        return TokenSequence(seq, self.backbone.cfg.n_patches, n_prompts)
+        return seq
 
     def forward(self, images: Tensor, bank: PromptBank | None = None,
                 dropout_rng: np.random.Generator | None = None) -> ForwardOutput:
@@ -81,15 +82,16 @@ class InstructionModel:
 
         ``dropout_rng`` turns attention dropout on for this call only.
         """
-        seq = self.backbone.encoder_forward(self.assemble(images, bank), dropout_rng=dropout_rng)
-        b, t, d = seq.tokens.shape
-        cls_out = T.reshape(T.narrow(seq.tokens, 1, 0, 1), (b, d))
+        tokens = self.backbone.encoder_forward(self.assemble(images, bank), dropout_rng=dropout_rng)
+        b, t, d = tokens.shape
+        n_prompts = t - 1 - self.config.n_patches
+        cls_out = T.reshape(T.narrow(tokens, 1, 0, 1), (b, d))
         logits = self.head(cls_out)
-        if seq.n_prompts > 0:
-            prompt_out = T.narrow(seq.tokens, 1, t - seq.n_prompts, seq.n_prompts)
+        if n_prompts > 0:
+            prompt_out = T.narrow(tokens, 1, t - n_prompts, n_prompts)
             score = T.batched_dot(T.l2_normalize(cls_out, axis=1), T.l2_normalize(prompt_out, axis=2))
         else:
-            score = Tensor(np.zeros((b, 0), dtype=seq.tokens.dtype))
+            score = Tensor(np.zeros((b, 0), dtype=tokens.dtype))
         return ForwardOutput(logits=logits, score=score, cls_feature=cls_out)
 
     # -- losses -------------------------------------------------------------

@@ -193,10 +193,16 @@ def toy_image_encode(image, dim: int) -> Tensor:
     return Tensor(_unit(feats @ _projection(feats.size, dim)).astype(np.float32))
 
 
+def _check_width(dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"prompt feature width must be >= 1, got {dim}")
+
+
 def build_text_bank(class_names: list[str], dim: int, templates: TemplateSet = TemplateSet()) -> PromptBank:
     """Encode all 30 rendered sentences per class and average; rows are re-normalized."""
     if not class_names:
         raise ValueError("need at least one class")
+    _check_width(dim)
     rows = np.empty((len(class_names), dim), dtype=np.float32)
     for i, name in enumerate(class_names):
         encoded = np.stack([toy_text_encode(s, dim).data for s in render_templates(name, templates)])
@@ -210,6 +216,7 @@ def build_image_bank(dataset, dim: int, seed: int) -> PromptBank:
     ``dataset`` must expose ``class_names``, ``train_labels`` and
     ``train_images`` (raw, un-normalized pixels).
     """
+    _check_width(dim)
     rng = np.random.default_rng(seed)
     names = list(dataset.class_names)
     rows = np.empty((len(names), dim), dtype=np.float32)

@@ -96,22 +96,6 @@ class Tensor:
             f" requires_grad={self.requires_grad})"
         )
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, c):
-        return scale(self, c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Wrap an op result; only records the graph edge if some parent needs it."""

@@ -374,7 +374,9 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     IVIT_THREADS caps, with OpenBLAS held at one thread while the pool runs so
     the pool is the only parallelism; selected batches run in the calling
     thread, since each is one batch-size-1 forward per image, bound by the
-    interpreter, and threads would only contend for the GIL.
+    interpreter, and threads would only contend for the GIL. A floating-point
+    overflow, invalid value or division by zero in any batch raises
+    ``NonFiniteError``.
     """
     if dataset.class_names != bank.class_names:
         raise ConsistencyError("dataset and bank class lists differ")
@@ -392,9 +394,14 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     workers = _eval_workers()  # checked on both paths, used by the plain one
 
     def work(batch: LabeledBatch) -> tuple[int, int]:
-        if use_selection:
-            return _eval_batch_selected(model, batch, bank, select_k)
-        return _eval_batch_plain(model, batch, bank)
+        # entered per batch: an errstate does not carry into the pool's threads
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                if use_selection:
+                    return _eval_batch_selected(model, batch, bank, select_k)
+                return _eval_batch_plain(model, batch, bank)
+        except FloatingPointError as e:
+            raise NonFiniteError(f"evaluation on the {split} split: {e}") from e
 
     if workers > 1 and len(batches) > 1 and not use_selection:
         with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:

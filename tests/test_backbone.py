@@ -9,31 +9,33 @@ import numpy as np
 import pytest
 
 from ivit import tensor as T
-from ivit.backbone import Backbone, BackboneConfig, TokenSequence
-from ivit.errors import ShapeError
+from ivit.backbone import Backbone
+from ivit.config import ModelConfig
+from ivit.errors import ConfigError, ShapeError
 from ivit.gradcheck import check_gradients
 from ivit.tensor import Tensor
 
 
 def make_backbone(dim=16, depth=1, heads=2, image_size=8, patch_size=4, dtype=np.float64, seed=0):
-    cfg = BackboneConfig(image_size=image_size, patch_size=patch_size, channels=3,
-                         dim=dim, depth=depth, heads=heads, mlp_ratio=2.0)
+    cfg = ModelConfig(image_size=image_size, patch_size=patch_size, channels=3,
+                      dim=dim, depth=depth, heads=heads, mlp_ratio=2.0)
     return Backbone(cfg, np.random.default_rng(seed), dtype=dtype)
 
 
 class TestConfig:
     def test_indivisible_image_size_rejected(self):
-        with pytest.raises(ShapeError, match="divisible"):
-            BackboneConfig(image_size=30, patch_size=8, channels=3, dim=16, depth=1, heads=2)
+        with pytest.raises(ConfigError, match="image_size 30 is not divisible by patch_size 8"):
+            ModelConfig(image_size=30, patch_size=8, channels=3, dim=16, depth=1, heads=2)
 
     def test_dim_must_divide_by_heads(self):
-        with pytest.raises(ShapeError, match="heads"):
-            BackboneConfig(image_size=32, patch_size=8, channels=3, dim=30, depth=1, heads=4)
+        with pytest.raises(ConfigError, match="dim 30 is not divisible by heads 4"):
+            ModelConfig(image_size=32, patch_size=8, channels=3, dim=30, depth=1, heads=4)
 
     def test_patch_counts(self):
-        assert BackboneConfig(32, 8, 3, 16, 1, 2).n_patches == 16
+        assert ModelConfig(32, 8, 3, 16, 1, 2).n_patches == 16
         # the standard full-scale point: 224px, patch 16, 196 tokens
-        assert BackboneConfig(224, 16, 3, 768, 12, 12).n_patches == 196
+        cfg = ModelConfig(224, 16, 3, 768, 12, 12)
+        assert (cfg.n_patches, cfg.patch_dim) == (196, 768)
 
 
 class TestPatchEmbed:
@@ -88,22 +90,22 @@ class TestEncoder:
     def test_depth_zero_is_final_layer_norm(self):
         bb = make_backbone(depth=0)
         x = Tensor(np.random.default_rng(1).normal(size=(2, 5, 16)), dtype=np.float64)
-        out = bb.encoder_forward(TokenSequence(x, 4, 0))
+        out = bb.encoder_forward(x)
         expected = T.layer_norm(x, bb.final_ln.gain, bb.final_ln.bias)
-        np.testing.assert_array_equal(out.tokens.data, expected.data)
+        np.testing.assert_array_equal(out.data, expected.data)
 
     def test_shape_preserved_through_blocks(self):
         bb = make_backbone(depth=3)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 7, 16)), dtype=np.float64)
-        out = bb.encoder_forward(TokenSequence(x, 4, 2))
-        assert out.tokens.shape == x.shape
+        out = bb.encoder_forward(x)
+        assert out.shape == x.shape
 
     def test_attention_rows_are_distributions(self):
         bb = make_backbone(depth=2)
         for block in bb.blocks:
             block.attn.capture_attn = True
         x = Tensor(np.random.default_rng(3).normal(size=(2, 7, 16)), dtype=np.float64)
-        bb.encoder_forward(TokenSequence(x, 4, 2))
+        bb.encoder_forward(x)
         for block in bb.blocks:
             rows = block.attn.last_attn
             assert rows is not None and rows.shape == (2, 2, 7, 7)
@@ -115,18 +117,18 @@ class TestEncoder:
         rng = np.random.default_rng(4)
         n_patches, n_prompts = 4, 6
         x = rng.normal(size=(2, 1 + n_patches + n_prompts, 16))
-        base = bb.encoder_forward(TokenSequence(Tensor(x, dtype=np.float64), n_patches, n_prompts))
+        base = bb.encoder_forward(Tensor(x, dtype=np.float64))
         for trial in range(5):
             perm = np.random.default_rng(trial).permutation(n_prompts)
             xp = x.copy()
             xp[:, 1 + n_patches :] = x[:, 1 + n_patches :][:, perm]
-            out = bb.encoder_forward(TokenSequence(Tensor(xp, dtype=np.float64), n_patches, n_prompts))
+            out = bb.encoder_forward(Tensor(xp, dtype=np.float64))
             np.testing.assert_allclose(
-                out.tokens.data[:, : 1 + n_patches], base.tokens.data[:, : 1 + n_patches], atol=1e-6
+                out.data[:, : 1 + n_patches], base.data[:, : 1 + n_patches], atol=1e-6
             )
             np.testing.assert_allclose(
-                out.tokens.data[:, 1 + n_patches :],
-                base.tokens.data[:, 1 + n_patches :][:, perm],
+                out.data[:, 1 + n_patches :],
+                base.data[:, 1 + n_patches :][:, perm],
                 atol=1e-6,
             )
 
@@ -137,8 +139,8 @@ class TestEncoder:
         coeffs = Tensor(rng.uniform(-1, 1, (80, 1)), dtype=np.float64)
 
         def loss():
-            out = bb.encoder_forward(TokenSequence(x, 4, 0))
-            return T.reshape(T.matmul(T.reshape(out.tokens, (1, 80)), coeffs), ())
+            out = bb.encoder_forward(x)
+            return T.reshape(T.matmul(T.reshape(out, (1, 80)), coeffs), ())
 
         params = [x] + [p for _, p in bb.blocks[0].named_parameters()]
         assert check_gradients(loss, params) < 1e-4

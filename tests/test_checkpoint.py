@@ -1,5 +1,7 @@
 """Checkpoint round-trips and the config-echo consistency rule."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,14 @@ from ivit.checkpoint import (
     save_checkpoint,
 )
 from ivit.config import ModelConfig, dump_model_config, parse_model_config
-from ivit.errors import BadMagicError, ConfigError, ConsistencyError, TruncatedFileError, VersionMismatchError
+from ivit.errors import (
+    BadMagicError,
+    ConfigError,
+    ConsistencyError,
+    FormatError,
+    TruncatedFileError,
+    VersionMismatchError,
+)
 from ivit.model import InstructionModel
 
 
@@ -117,3 +126,48 @@ def test_missing_parameter_rejected(tmp_path):
     del params["head.bias"]
     with pytest.raises(ConsistencyError, match="missing"):
         apply_parameters(model, params)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model())
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(FormatError, match="7 trailing bytes"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_rejected(tmp_path, value):
+    model = tiny_model()
+    model.backbone.blocks[0].fc1.weight.data[0, 0] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    with pytest.raises(FormatError, match="blocks.0.fc1.weight.*non-finite"):
+        load_checkpoint(path)
+
+
+def test_duplicate_parameter_name_rejected(tmp_path):
+    model = tiny_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    blob = path.read_bytes()
+    (echo_len,) = struct.unpack_from("<I", blob, 8)
+    count_at = 12 + echo_len + 8  # after the echo and the step counter
+    (count,) = struct.unpack_from("<I", blob, count_at)
+    # the last entry is head.bias, 3 float32 values; store it a second time
+    last = blob[-(2 + 9 + 1 + 4 + 3 * 4):]
+    assert last[2:11] == b"head.bias"
+    blob = blob[:count_at] + struct.pack("<I", count + 1) + blob[count_at + 4:] + last
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match="'head.bias' is stored twice"):
+        load_checkpoint(path)
+
+
+def test_name_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model())
+    blob = path.read_bytes()
+    assert blob.count(b"head.bias") == 1
+    path.write_bytes(blob.replace(b"head.bias", b"head.bia\xff"))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_checkpoint(path)

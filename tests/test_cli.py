@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from ivit import dataset as ds
+from ivit.checkpoint import save_checkpoint
 from ivit.cli import main
+from ivit.config import ModelConfig
+from ivit.model import InstructionModel
 from ivit.prompts import load_bank
 
 
@@ -40,6 +43,17 @@ def bank_path(tmp_path, data_dir):
     return out
 
 
+def untrained_checkpoint(path, **params):
+    """A fresh model's checkpoint that fits ``data_dir`` and ``bank_path``, ``params`` overwritten."""
+    model = InstructionModel(ModelConfig(image_size=8, patch_size=4, dim=16, depth=1, heads=2,
+                                         mlp_ratio=2.0, prompt_dim=16, n_classes=4))
+    own = model.parameter_dict()
+    for name, value in params.items():
+        own[name].data[...] = value
+    save_checkpoint(path, model)
+    return path
+
+
 def fast_config(tmp_path, **overrides):
     values = {"epochs": 2, "batch_size": 8, "warmup_epochs": 1, "mixup_alpha": 0.0,
               "image_size": 8, "patch_size": 4, "dim": 16, "depth": 1, "heads": 2,
@@ -64,6 +78,19 @@ class TestGenData:
                            "--train", "16", "--val", "8")
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--noise-std", "nan", "noise_std must be finite and >= 0, got nan"),
+        ("--noise-std", "-1", "noise_std must be finite and >= 0, got -1.0"),
+        ("--noise-std", "inf", "noise_std must be finite and >= 0, got inf"),
+        ("--channels", "0", "channels must be positive, got 0"),
+    ])
+    def test_bad_value_is_argument_error_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "gen-data", "--out", str(out), "--classes", "2",
+                           "--train", "4", "--val", "2", "--size", "8", flag, value)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestBuildBank:
@@ -91,6 +118,15 @@ class TestBuildBank:
         code, _, err = run(capsys, "build-bank", "--data", str(data_dir), "--modality", "audio",
                            "--dim", "16", "--out", str(tmp_path / "x.ivpb"))
         assert code == 2 and "audio" in err
+
+    @pytest.mark.parametrize("modality", ["text", "image", "mixed"])
+    def test_zero_width_is_argument_error(self, tmp_path, data_dir, capsys, modality):
+        out = tmp_path / "x.ivpb"
+        code, _, err = run(capsys, "build-bank", "--data", str(data_dir), "--modality", modality,
+                           "--dim", "0", "--out", str(out))
+        assert code == 2
+        assert err == "error: prompt feature width must be >= 1, got 0\n"
+        assert not out.exists()
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "build-bank", "--data", str(tmp_path / "nope"),
@@ -217,6 +253,8 @@ class TestTrainEval:
         {"attn_dropout": 1.0},
         {"attn_dropout": -0.1},
         {"attn_dropout": "nan"},
+        {"dim": 15},
+        {"patch_size": 3},
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_bad_model_config_exits_2(self, tmp_path, data_dir, bank_path, capsys, overrides):
         code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
@@ -232,7 +270,9 @@ class TestTrainEval:
         (b"\ndim=16\n", b"\ndim=1\xff\n"),
         (b"\nheads=2\n", b"\nheads=0\n"),
         (b"\ndim=16\n", b"\n"),
-    ], ids=["dim=xx", "0xff-byte", "heads=0", "dim-missing"])
+        (b"\ndim=16\n", b"\ndim=15\n"),
+        (b"\npatch_size=4\n", b"\npatch_size=3\n"),
+    ], ids=["dim=xx", "0xff-byte", "heads=0", "dim-missing", "dim=15", "patch_size=3"])
     def test_corrupt_config_echo_exits_3(self, tmp_path, data_dir, bank_path, capsys, old, new):
         run_dir = tmp_path / "run"
         assert run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
@@ -309,6 +349,32 @@ class TestTrainEval:
         code, _, err = run(capsys, "eval", "--data", str(big), "--bank", str(bank_path),
                            "--checkpoint", str(run_dir / "final.ckpt"))
         assert code == 4
+
+    @pytest.mark.parametrize("select", [[], ["--select-k", "2"]], ids=["plain", "select-k"])
+    def test_eval_overflowing_checkpoint_exits_5(self, tmp_path, data_dir, bank_path, capsys, select):
+        ckpt = untrained_checkpoint(tmp_path / "huge.ckpt", **{"backbone.blocks.0.fc1.weight": 1e30})
+        code, out, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                             "--checkpoint", str(ckpt), *select)
+        assert code == 5 and out == ""
+        message = r"(?:overflow|invalid value|divide by zero) encountered in \w+"
+        assert re.fullmatch(rf"error: evaluation on the val split: {message}\n", err)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_eval_non_finite_checkpoint_exits_3(self, tmp_path, data_dir, bank_path, capsys, value):
+        ckpt = untrained_checkpoint(tmp_path / "bad.ckpt", **{"head.bias": value})
+        code, _, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                           "--checkpoint", str(ckpt))
+        assert code == 3
+        assert err == f"error: checkpoint {ckpt}: parameter 'head.bias' holds non-finite values\n"
+
+    def test_eval_checkpoint_with_trailing_bytes_exits_3(self, tmp_path, data_dir, bank_path, capsys):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        assert run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                   "--checkpoint", str(ckpt))[0] == 0
+        ckpt.write_bytes(ckpt.read_bytes() + b"garbage")
+        code, _, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                           "--checkpoint", str(ckpt))
+        assert code == 3 and "7 trailing bytes" in err and "Traceback" not in err
 
 
 def test_eval_without_bank_is_argument_error(tmp_path):

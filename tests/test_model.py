@@ -59,19 +59,18 @@ class TestConfigValidation:
 class TestAssemble:
     def test_token_count(self):
         model, bank = make_model(n_prompts=8, image_size=32, patch_size=8)
-        seq = model.assemble(images_for(model), bank)
-        assert seq.length == 1 + 16 + 8
-        assert seq.tokens.shape == (2, 25, 16)
+        tokens = model.assemble(images_for(model), bank)
+        assert tokens.shape == (2, 1 + 16 + 8, 16)
 
     def test_empty_bank_degenerates_to_plain_vit(self):
         model, _ = make_model()
-        seq = model.assemble(images_for(model))
-        assert seq.n_prompts == 0 and seq.length == 1 + 4
+        tokens = model.assemble(images_for(model))
+        assert tokens.shape == (2, 1 + 4, 16)
+        assert model.forward(images_for(model)).score.shape == (2, 0)
 
     def test_prompt_segment_identical_across_batch(self):
         model, bank = make_model(n_prompts=3)
-        seq = model.assemble(images_for(model, batch=4), bank)
-        prompts = seq.tokens.data[:, -3:]
+        prompts = model.assemble(images_for(model, batch=4), bank).data[:, -3:]
         for b in range(1, 4):
             np.testing.assert_array_equal(prompts[b], prompts[0])
 

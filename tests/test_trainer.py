@@ -382,6 +382,16 @@ class TestEvaluate:
         evaluate(model, data, bank, select_k=2, split="val", batch_size=2)
         assert threads == {threading.get_ident()}
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflow_raises_non_finite_error(self, tmp_path, monkeypatch, threads):
+        # four val batches, so "2" runs them on the pool, whose threads start with numpy's defaults
+        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        model.backbone.blocks[0].fc1.weight.data[...] = 1e30
+        monkeypatch.setenv("IVIT_THREADS", threads)
+        for select_k in (None, 2):
+            with pytest.raises(NonFiniteError, match="evaluation on the val split: overflow"):
+                evaluate(model, data, bank, select_k=select_k, split="val", batch_size=2)
+
     @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
     def test_bad_thread_cap_names_the_variable(self, tmp_path, monkeypatch, raw):
         model, data, bank = tiny_setup(tmp_path)
