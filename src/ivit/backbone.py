@@ -32,7 +32,7 @@ class Linear:
         self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add_bias(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         yield "weight", self.weight

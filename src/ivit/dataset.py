@@ -145,36 +145,40 @@ def _write_meta(path, meta: DatasetMeta) -> None:
 
 
 def _read_meta(path) -> DatasetMeta:
+    """Parse ``meta.txt``; a malformed value is a `FormatError` naming the file."""
     keys: dict[str, str] = {}
     names: list[str] = []
     in_classes = False
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line == "[classes]":
-                in_classes = True
-                continue
-            if in_classes:
-                names.append(line)
-            else:
-                key, _, value = line.partition("=")
-                keys[key] = value
     try:
-        return DatasetMeta(
-            n_classes=int(keys["n_classes"]),
-            n_train=int(keys["n_train"]),
-            n_val=int(keys["n_val"]),
-            image_size=int(keys["image_size"]),
-            channels=int(keys["channels"]),
-            seed=int(keys["seed"]),
-            mean=float(keys["mean"]),
-            std=float(keys["std"]),
-            class_names=tuple(names),
-        )
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"meta.txt is not UTF-8: {e}") from e
+    for line in lines:
+        if not line:
+            continue
+        if line == "[classes]":
+            in_classes = True
+            continue
+        if in_classes:
+            names.append(line)
+        else:
+            key, _, value = line.partition("=")
+            keys[key] = value
+    try:
+        counts = [int(keys[k]) for k in ("n_classes", "n_train", "n_val", "image_size", "channels", "seed")]
+        mean, std = float(keys["mean"]), float(keys["std"])
     except KeyError as e:
         raise FormatError(f"meta.txt is missing key {e.args[0]!r}") from e
+    except ValueError as e:
+        raise FormatError(f"meta.txt holds a non-numeric value: {e}") from e
+    if min(counts[:5]) < 1:
+        raise FormatError(f"meta.txt: counts and dims must be positive, got {counts[:5]}")
+    if not math.isfinite(mean):
+        raise FormatError(f"meta.txt: mean must be finite, got {mean}")
+    if not (math.isfinite(std) and std > 0.0):
+        raise FormatError(f"meta.txt: std must be finite and > 0, got {std}")
+    return DatasetMeta(*counts, mean=mean, std=std, class_names=tuple(names))
 
 
 def _read_exact(path, dtype, count: int) -> np.ndarray:

@@ -11,6 +11,7 @@ an independent oracle for the analytic gradients.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -94,7 +95,7 @@ def op_cases(seed: int, dtype=np.float64) -> dict[str, tuple[Callable[[], Tensor
         return Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True, dtype=dtype)
 
     def co(shape) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=int(np.prod(shape)))
+        return rng.uniform(-1.0, 1.0, size=math.prod(shape))
 
     cases: dict[str, tuple[Callable[[], Tensor], list[Tensor]]] = {}
 
@@ -184,6 +185,13 @@ def op_cases(seed: int, dtype=np.float64) -> dict[str, tuple[Callable[[], Tensor
     tg_rows = rng.dirichlet(np.ones(3), size=4)
     tg = Tensor(tg_rows, requires_grad=True, dtype=dtype)
     cases["cross_entropy"] = (lambda: T.cross_entropy(lg, tg), [lg])
+
+    # appended last, so every case above keeps its draws
+    xli = rt((2, 3, 4))
+    wli = rt((4, 3))
+    bli = rt((3,))
+    c18 = co((2, 3, 3))
+    cases["linear"] = (lambda: _quadratic(T.linear(xli, wli, bli), c18), [xli, wli, bli])
 
     return cases
 

@@ -301,7 +301,10 @@ def load_bank(path) -> PromptBank:
         off += 2
         if len(blob) < off + ln:
             raise TruncatedFileError(f"truncated name table after {len(names)} of {n} names")
-        names.append(blob[off : off + ln].decode("utf-8"))
+        try:
+            names.append(blob[off : off + ln].decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise FormatError(f"name {len(names)} of the name table is not UTF-8: {e}") from e
         off += ln
     if off != len(blob):
         raise FormatError(

@@ -4,7 +4,12 @@ Deliberately small: only the operations the model needs, row-major
 float32/float64 arrays, eager shape validation, and one recorded backward
 closure per op. There is no implicit broadcasting; the only sanctioned
 shortcuts are scalar arithmetic (`scale`, scalar `add`) and the explicit
-`add_bias` / `broadcast_batch` ops, whose broadcast is their contract.
+`add_bias` / `linear` / `broadcast_batch` ops, whose broadcast is their
+contract.
+
+As in PyTorch, `backward` stores gradients on leaves only (tensors no op
+produced, such as parameters and inputs); an intermediate result's gradient
+is freed once it has been passed back to the op's operands.
 
 Training runs in float32; the gradient-check suite builds the same graph in
 float64 (creation functions take ``dtype``, ops preserve it: constants are
@@ -47,11 +52,12 @@ _ROW_SUM_TOL = 1e-3 + 1e-5
 class Tensor:
     """An n-d array with optional gradient tracking.
 
-    ``grad`` stays ``None`` until ``backward()`` first reaches the tensor;
-    repeated backward calls accumulate additively. Tensors are immutable
-    after construction except for gradient accumulation (optimizers mutate
-    parameter ``data`` in place *between* graph constructions, never inside
-    one).
+    ``grad`` is only ever set on a leaf (a tensor no op produced) and stays
+    ``None`` until ``backward()`` first reaches it; repeated backward calls
+    accumulate additively. An op's result keeps ``grad = None``. Tensors are
+    immutable after construction except for gradient accumulation
+    (optimizers mutate parameter ``data`` in place *between* graph
+    constructions, never inside one).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -115,10 +121,14 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable tensor.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf that requires grad.
 
-    The traversal uses a scratch gradient table so that calling backward()
-    twice without zeroing grads adds exactly one more copy of each gradient.
+    Gradients flow through a scratch table; each entry is dropped as soon as
+    its node has passed it back, so an intermediate gradient lives only until
+    its op's backward has run. A leaf's first gradient is copied, because an
+    op may hand one array to several operands (``add``) and gradient clipping
+    scales grads in place. Calling backward() twice without zeroing grads adds
+    exactly one more copy of each gradient.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {tuple(loss.shape)}")
@@ -141,19 +151,17 @@ def backward(loss: Tensor) -> None:
 
     running: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = running.get(id(node))
-        if g is None or node._backward is None:
+        g = running.pop(id(node), None)
+        if g is None or not node.requires_grad:
+            continue
+        if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = running.get(id(parent))
             running[id(parent)] = pg if acc is None else acc + pg
-
-    for node in topo:
-        g = running.get(id(node))
-        if g is not None and node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +340,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _result(ad @ bd, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one graph node: ``x`` [..., D_in], ``w`` [D_in, D_out], ``b`` [D_out].
+
+    The arithmetic of ``add_bias(matmul(x, w), b)``, forward and backward, bit
+    for bit; the bias is added in place on the fresh product, so the product
+    is not kept alive as a second activation.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim < 2 or wd.ndim != 2:
+        raise ShapeError(f"linear: need n-d @ 2-d with n >= 2, got {x.shape} @ {w.shape}")
+    if xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"linear: inner dims disagree for {x.shape} @ {w.shape}")
+    if bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear: bias shape {b.shape} does not match output width of {w.shape}")
+    lead = tuple(range(xd.ndim - 1))
+
+    def bw(g):
+        gx = gw = gb = None  # an operand that needs no gradient gets none computed
+        if x.requires_grad:
+            gx = g @ wd.T
+        if w.requires_grad:
+            gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if b.requires_grad:
+            gb = g.sum(axis=lead)
+        return gx, gw, gb
+
+    y = xd @ wd
+    if y.dtype == bd.dtype:
+        y += bd
+    else:  # a bias of another dtype promotes as add_bias's out-of-place sum does
+        y = y + bd
+    return _result(y, (x, w, b), bw)
 
 
 def batched_dot(a: Tensor, b: Tensor) -> Tensor:

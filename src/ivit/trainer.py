@@ -97,7 +97,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         v = state.v.setdefault(name, np.zeros_like(p.data))
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
-        p.data -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).astype(p.data.dtype)
+        p.data -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).astype(p.data.dtype, copy=False)
 
 
 def mixup(batch_a: LabeledBatch, batch_b: LabeledBatch, alpha: float,

@@ -134,6 +134,53 @@ class TestBuildBank:
         assert code == 3
 
 
+class TestMetaFaults:
+    """Every malformed ``meta.txt`` is a file-format error (exit 3) with one ``error:`` line."""
+
+    @staticmethod
+    def build_bank(capsys, tmp_path, data_dir):
+        return run(capsys, "build-bank", "--data", str(data_dir), "--modality", "text",
+                   "--dim", "16", "--out", str(tmp_path / "x.ivpb"))
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_train", "four", "meta.txt holds a non-numeric value: invalid literal for int()"),
+        ("n_classes", "4.0", "meta.txt holds a non-numeric value: invalid literal for int()"),
+        ("n_val", "0", "meta.txt: counts and dims must be positive, got [4, 32, 0, 8, 3]"),
+        ("mean", "nan", "meta.txt: mean must be finite, got nan"),
+        ("mean", "-inf", "meta.txt: mean must be finite, got -inf"),
+        ("std", "0.0", "meta.txt: std must be finite and > 0, got 0.0"),
+        ("std", "-1", "meta.txt: std must be finite and > 0, got -1.0"),
+        ("std", "inf", "meta.txt: std must be finite and > 0, got inf"),
+        ("std", "nan", "meta.txt: std must be finite and > 0, got nan"),
+    ])
+    def test_bad_value_exits_3(self, tmp_path, data_dir, capsys, key, value, message):
+        meta = data_dir / "meta.txt"
+        text, n = re.subn(rf"^{key}=.*$", f"{key}={value}", meta.read_text(), flags=re.M)
+        assert n == 1
+        meta.write_text(text)
+        code, out, err = self.build_bank(capsys, tmp_path, data_dir)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_not_utf8_exits_3(self, tmp_path, data_dir, capsys):
+        meta = data_dir / "meta.txt"
+        meta.write_bytes(meta.read_bytes().replace(b"heron", b"her\xffn"))
+        code, out, err = self.build_bank(capsys, tmp_path, data_dir)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: meta.txt is not UTF-8") and err.count("\n") == 1
+
+
+def test_bank_name_table_not_utf8_exits_3(tmp_path, data_dir, bank_path, capsys):
+    blob = bytearray(bank_path.read_bytes())
+    assert blob.endswith(b"fern")
+    blob[-1] = 0xFF
+    bank_path.write_bytes(bytes(blob))
+    code, out, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                         "--checkpoint", str(untrained_checkpoint(tmp_path / "m.ckpt")))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: name 3 of the name table is not UTF-8")
+
+
 class TestTrainEval:
     def test_train_then_eval_reproduces_final_metrics(self, tmp_path, data_dir, bank_path, capsys):
         run_dir = tmp_path / "run"

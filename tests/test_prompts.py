@@ -252,6 +252,14 @@ class TestBankFile:
         with pytest.raises(FormatError, match="name table"):
             load_bank(path)
 
+    def test_name_that_is_not_utf8_rejected(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path, build_text_bank(["x1", "x2"], 8))
+        blob = bytearray(path.read_bytes())
+        blob[-2] = 0xC3  # a two-byte lead followed by an ASCII byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="name 1 of the name table is not UTF-8"):
+            load_bank(path)
+
 
 def test_reencoding_never_changes_a_bank():
     names = ["heron", "anvil"]

@@ -8,6 +8,7 @@ examples are computed inline from their definitions before being asserted.
 import inspect
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -157,11 +158,40 @@ class TestBackward:
         assert x.grad is None
 
     def test_reachable_tensors_get_grads(self):
+        """Only leaves keep a gradient; an op's result does not."""
         x = t64([[0.3, -0.2]], requires_grad=True)
         y = T.gelu(x)
         loss = T.reshape(T.matmul(y, t64([[0.5], [0.5]])), ())
         T.backward(loss)
-        assert x.grad is not None and y.grad is not None
+        assert x.grad is not None
+        assert y.grad is None and loss.grad is None
+
+    def test_intermediate_gradients_are_freed_once_passed_back(self):
+        x = t64(np.ones((1, 4)), requires_grad=True)
+        h = x
+        received = []  # weak references to the gradient each closure was handed
+        alive = []
+        for _ in range(3):
+            h = T.scale(h, 0.5)
+
+            def bw(g, inner=h._backward):
+                alive[:] = [r() is not None for r in received]
+                received.append(weakref.ref(g))
+                return inner(g)
+
+            h._backward = bw
+        T.backward(T.reshape(T.matmul(h, t64(np.ones((4, 1)))), ()))
+        # when the last closure runs, the two gradients handed back before it are gone
+        assert alive == [False, False]
+        np.testing.assert_array_equal(x.grad, np.full((1, 4), 0.125))
+
+    def test_leaves_fed_one_array_get_distinct_grads(self):
+        a = t64([[1.0, 2.0]], requires_grad=True)
+        b = t64([[3.0, 4.0]], requires_grad=True)
+        T.backward(T.reshape(T.matmul(T.add(a, b), t64([[0.5], [2.0]])), ()))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad *= 3.0  # what gradient clipping does
+        np.testing.assert_array_equal(b.grad, [[0.5, 2.0]])
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_matmul_computes_gradients_only_for_operands_that_need_them(self, batched):
@@ -186,6 +216,65 @@ class TestBackward:
         assert T.cross_entropy(logits, target)._backward(g)[1] is None
         target.requires_grad = True
         assert T.cross_entropy(logits, target)._backward(g)[1].shape == (2, 2)
+
+
+class TestLinear:
+    """``linear`` is ``add_bias(matmul(x, w), b)`` as one node, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+    @pytest.mark.parametrize("flags", list(itertools.product([False, True], repeat=3)))
+    def test_matches_add_bias_of_matmul(self, dtype, x_shape, flags):
+        rng = np.random.default_rng(11)
+        x, w, b = (Tensor(rng.normal(size=shape), requires_grad=need, dtype=dtype)
+                   for shape, need in zip((x_shape, (4, 3), (3,)), flags))
+        fused = T.linear(x, w, b)
+        product = T.matmul(x, w)
+        ref = T.add_bias(product, b)
+        assert fused.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(fused.data, ref.data)
+        assert fused.requires_grad == any(flags)
+        if not any(flags):
+            return
+        g = rng.normal(size=x_shape[:-1] + (3,)).astype(dtype)
+        g_product, gb_ref = ref._backward(g)
+        gx_ref, gw_ref = product._backward(g_product) if product.requires_grad else (None, None)
+        for need, got, want in zip(flags, fused._backward(g), (gx_ref, gw_ref, gb_ref)):
+            if need:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert got is None
+
+    def test_leaf_grads_match_the_two_op_graph(self):
+        rng = np.random.default_rng(12)
+        arrays = [rng.normal(size=s) for s in ((2, 3, 4), (4, 3), (3,))]
+        c = t64(rng.normal(size=(18, 1)))
+        grads = []
+        for op in (T.linear, lambda x, w, b: T.add_bias(T.matmul(x, w), b)):
+            x, w, b = (t64(a.copy(), requires_grad=True) for a in arrays)
+            T.backward(T.reshape(T.matmul(T.reshape(op(x, w, b), (1, 18)), c), ()))
+            grads.append((x.grad, w.grad, b.grad))
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_wider_bias_promotes_as_add_bias_does(self):
+        x, w = Tensor(np.ones((2, 2))), Tensor(np.eye(2))
+        b = Tensor([0.1, 0.2], dtype=np.float64)
+        out = T.linear(x, w, b)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.data, T.add_bias(T.matmul(x, w), b).data)
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((4,), (4, 3), (3,)),         # 1-d input
+        ((2, 4), (2, 4, 3), (3,)),    # batched weight
+        ((2, 5), (4, 3), (3,)),       # inner dims disagree
+        ((2, 4), (4, 3), (4,)),       # bias of the input width
+        ((2, 4), (4, 3), (1, 3)),     # bias of the wrong rank
+    ])
+    def test_shape_errors(self, x_shape, w_shape, b_shape):
+        with pytest.raises(ShapeError, match="linear"):
+            T.linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
 def test_all_ops_match_finite_differences():
@@ -425,6 +514,7 @@ PINNED_SUITE_ERRORS = {
         "gelu": 2.2677368760220525e-11,
         "layer_norm": 7.717539722964166e-11,
         "cross_entropy": 6.179957869468569e-11,
+        "linear": 1.8655076874064422e-11,
         "full_model": 1.2190392652443717e-07,
     },
     1: {
@@ -445,6 +535,7 @@ PINNED_SUITE_ERRORS = {
         "gelu": 4.0890856245266526e-11,
         "layer_norm": 7.26065077027907e-11,
         "cross_entropy": 1.1358583036103257e-10,
+        "linear": 6.215418779122619e-11,
         "full_model": 4.7315421899225194e-08,
     },
     4: {
@@ -465,6 +556,7 @@ PINNED_SUITE_ERRORS = {
         "gelu": 1.5728539294061186e-11,
         "layer_norm": 3.1557202232751175e-11,
         "cross_entropy": 9.94032476885953e-11,
+        "linear": 4.4811641794539997e-11,
         "full_model": 1.1102230259804091e-05,
     },
     67: {
@@ -485,6 +577,7 @@ PINNED_SUITE_ERRORS = {
         "gelu": 2.051047956804296e-11,
         "layer_norm": 3.8168402195886926e-11,
         "cross_entropy": 1.5703444546641277e-10,
+        "linear": 2.996394459601239e-11,
         "full_model": 1.1102230137831346e-05,
     },
     101: {
@@ -505,6 +598,7 @@ PINNED_SUITE_ERRORS = {
         "gelu": 1.8303714415146358e-11,
         "layer_norm": 4.372997860676607e-11,
         "cross_entropy": 5.734574953979435e-11,
+        "linear": 1.1509424008493372e-11,
         "full_model": 1.110223033434299e-05,
     },
 }
