@@ -18,6 +18,7 @@ desk-scale and exact resume is a non-goal.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -100,8 +101,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int]:
             raise FormatError(f"checkpoint {path}: parameter {name!r} is stored twice")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(r.take(n * 4), dtype="<f4").reshape(shape).copy()
+        data = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4")
+        try:
+            arr = data.reshape(shape).copy()
+        except ValueError as e:  # more axes than numpy supports
+            raise FormatError(f"checkpoint {path}: parameter {name!r} has {ndim} axes: {e}") from e
         if not np.isfinite(arr).all():
             raise FormatError(f"checkpoint {path}: parameter {name!r} holds non-finite values")
         params[name] = arr

@@ -178,6 +178,8 @@ def _read_meta(path) -> DatasetMeta:
         raise FormatError(f"meta.txt: mean must be finite, got {mean}")
     if not (math.isfinite(std) and std > 0.0):
         raise FormatError(f"meta.txt: std must be finite and > 0, got {std}")
+    if len(names) != counts[0]:
+        raise FormatError(f"meta.txt: {len(names)} class names for {counts[0]} classes")
     return DatasetMeta(*counts, mean=mean, std=std, class_names=tuple(names))
 
 

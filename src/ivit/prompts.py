@@ -16,6 +16,9 @@ Bank file layout (little-endian throughout):
     seed    u64      image-selection seed (0 when unused)
     features N * D_p float32, row-major
     names   N entries of (u16 length + UTF-8 bytes)
+
+Every feature must be finite and nothing may follow the name table; a file
+that breaks either is a format error.
 """
 
 from __future__ import annotations
@@ -292,6 +295,8 @@ def load_bank(path) -> PromptBank:
             f"truncated features: expected {feat_bytes} bytes, got {len(blob) - off}"
         )
     feats = np.frombuffer(blob, dtype="<f4", count=n * dim, offset=off).reshape(n, dim).copy()
+    if not np.isfinite(feats).all():
+        raise FormatError("bank features hold non-finite values")
     off += feat_bytes
     names: list[str] = []
     for _ in range(n):

@@ -15,6 +15,12 @@ Training runs in float32; the gradient-check suite builds the same graph in
 float64 (creation functions take ``dtype``, ops preserve it: constants are
 Python floats, never numpy float64 scalars, which would promote a float32
 operand).
+
+`gelu`, `layer_norm` and `softmax` write in place on arrays they allocate
+themselves, forward and backward, and float32 `gelu` walks its input in
+``CHUNK``-element pieces so that its erf pass stays in cache. Every result is
+bit-identical to the op-by-op formula with one fresh array per step, which
+tests/test_kernels.py keeps as the reference.
 """
 
 from __future__ import annotations
@@ -39,6 +45,13 @@ _ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
             -1.60960333262415e-02)
 _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
+
+#: elements per piece of the chunked float32 gelu. Its erf pass cycles through
+#: four float32 arrays of this length, 2 MiB, the per-core L2 of the 2-core
+#: Xeon it was tuned on. Half as long ran no faster in one thread and about 20%
+#: slower in two, where the eval pool's workers hand the GIL back and forth
+#: between the ~30 array passes of every piece.
+CHUNK = 1 << 17
 
 #: added to L2 denominators so zero slices normalize to zero instead of NaN
 NORM_EPS = 1e-12
@@ -399,13 +412,16 @@ def batched_dot(a: Tensor, b: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stabilized softmax along ``axis`` (max subtraction, so huge inputs are fine)."""
     axis = axis % x.ndim
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        gx = g * y
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        return (gx,)
 
     return _result(y, (x,), bw)
 
@@ -428,69 +444,140 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (x,), bw)
 
 
-def erf(x: np.ndarray) -> np.ndarray:
-    """The error function, in the dtype of ``x``.
+def _erf32(x: np.ndarray, p: np.ndarray, x2: np.ndarray, q: np.ndarray) -> None:
+    """The float32 rational-fit erf of ``x``, written into ``p``.
 
-    float32 takes the rational fit ``_ERF32_P`` / ``_ERF32_Q``, evaluated with
-    in-place array ops:
-    max abs error 4.5e-7 against the exact erf (a few float32 ulp near +-1),
-    odd, exactly 0 at 0 and clipped to [-1, 1]. Every other dtype goes to
-    ``scipy.special.erf``, so the float64 gradient check keeps the exact path.
+    ``x`` is clipped in place; ``x2`` and ``q`` are scratch of its shape.
     """
-    if x.dtype != np.float32:
-        return _erf(x)
-    x = np.clip(x, -4.0, 4.0)
-    x2 = x * x
-    p = x2 * _ERF32_P[0]
+    np.clip(x, -4.0, 4.0, out=x)
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, _ERF32_P[0], out=p)
     p += _ERF32_P[1]
     for c in _ERF32_P[2:]:
         p *= x2
         p += c
     p *= x
-    q = x2 * _ERF32_Q[0]
+    np.multiply(x2, _ERF32_Q[0], out=q)
     q += _ERF32_Q[1]
     for c in _ERF32_Q[2:]:
         q *= x2
         q += c
     p /= q
-    return np.clip(p, -1.0, 1.0, out=p)
+    np.clip(p, -1.0, 1.0, out=p)
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, in the dtype of ``x``.
+
+    float32 takes the rational fit ``_ERF32_P`` / ``_ERF32_Q`` through the
+    in-place kernel that `gelu` runs chunk by chunk; both equal the op-by-op
+    formula bit for bit. Max abs error 4.5e-7 against the exact erf (a few
+    float32 ulp near +-1), odd, exactly 0 at 0 and clipped to [-1, 1]. Every
+    other dtype goes to ``scipy.special.erf``, so the float64 gradient check
+    keeps the exact path.
+    """
+    if x.dtype != np.float32:
+        return _erf(x)
+    xs = x.copy()
+    p = np.empty_like(xs)
+    _erf32(xs, p, np.empty_like(xs), np.empty_like(xs))
+    return p
+
+
+def _gelu32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 gelu forward: ``(erf(x / sqrt2), 0.5 * x * (1 + erf(x / sqrt2)))``.
+
+    Walks ``x`` in ``CHUNK``-element pieces through two chunk-sized scratch
+    buffers, so the erf pass stays in cache and only the two returned arrays
+    are full-size.
+    """
+    xf = np.ascontiguousarray(x).reshape(-1)
+    c = np.empty(x.shape, np.float32)  # C-contiguous, so the flat views below write into it
+    y = np.empty(x.shape, np.float32)
+    cf, yf = c.reshape(-1), y.reshape(-1)
+    n = min(xf.size, CHUNK)
+    s1, s2 = np.empty(n, np.float32), np.empty(n, np.float32)
+    for lo in range(0, xf.size, CHUNK):
+        xs, cs, ys = xf[lo:lo + CHUNK], cf[lo:lo + CHUNK], yf[lo:lo + CHUNK]
+        a, b = s1[:xs.size], s2[:xs.size]
+        np.multiply(xs, _INV_SQRT2, out=a)
+        _erf32(a, cs, b, ys)  # ys is scratch until the last line
+        np.add(cs, 1.0, out=a)
+        np.multiply(xs, 0.5, out=ys)
+        ys *= a
+    return c, y
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf-based gelu (float32 through the rational-fit `erf`)."""
-    c = erf(x.data * _INV_SQRT2)
-    y = 0.5 * x.data * (1.0 + c)
+    """Exact erf-based gelu (float32 through the rational-fit `erf`).
+
+    float32 is computed in cache-sized chunks and the backward in place on its
+    own gradient buffer; both are bit-identical to the op-by-op formulas
+    ``0.5 * x * (1 + erf(x / sqrt2))`` and
+    ``g * (0.5 * (1 + erf(x / sqrt2)) + x * pdf(x))``.
+    """
+    xd = x.data
+    if xd.dtype == np.float32:
+        c, y = _gelu32(xd)
+    else:
+        c = _erf(xd * _INV_SQRT2)
+        y = 0.5 * xd * (1.0 + c)
 
     def bw(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        return (g * (0.5 * (1.0 + c) + x.data * pdf),)
+        xpdf = xd * -0.5
+        xpdf *= xd
+        np.exp(xpdf, out=xpdf)
+        xpdf *= _INV_SQRT2PI
+        xpdf *= xd
+        gx = c + 1.0
+        gx *= 0.5
+        gx += xpdf
+        if gx.dtype != g.dtype:  # a wider gradient promotes, as the out-of-place product does
+            return (g * gx,)
+        gx *= g
+        return (gx,)
 
     return _result(y, (x,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply per-feature gain and bias."""
+    """Normalize over the last axis, then apply per-feature gain and bias.
+
+    Forward and backward write in place on their own fresh arrays, bit-identical
+    to ``xhat = (x - mu) / sqrt(var + eps); xhat * gain + bias`` op by op.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     # np.add.reduce(...) / d is what ndarray.mean computes, without its Python-level wrapper
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    xhat = x.data - mu
+    sq = xhat * xhat
+    var = np.add.reduce(sq, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xhat *= inv
+    if sq.dtype == gain.data.dtype == bias.data.dtype:
+        out = np.multiply(xhat, gain.data, out=sq)
+        out += bias.data
+    else:  # a wider gain or bias promotes, as the out-of-place formula does
+        out = xhat * gain.data + bias.data
     lead = tuple(range(x.ndim - 1))
 
     def bw(g):
-        gxhat = g * gain.data
-        m1 = np.add.reduce(gxhat, axis=-1, keepdims=True) / d
-        m2 = np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d
-        gx = inv * (gxhat - m1 - xhat * m2)
-        gg = (g * xhat).sum(axis=lead) if lead else g * xhat
+        gx = g * gain.data
+        t = gx * xhat
+        m1 = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
+        gx -= m1
+        np.multiply(xhat, m2, out=t)
+        gx -= t
+        gx *= inv
+        np.multiply(g, xhat, out=t)
+        gg = t.sum(axis=lead) if lead else t
         gb = g.sum(axis=lead) if lead else g
         return gx, gg, gb
 
-    return _result(xhat * gain.data + bias.data, (x, gain, bias), bw)
+    return _result(out, (x, gain, bias), bw)
 
 
 def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:

@@ -64,13 +64,16 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     warmup_steps = round(total_steps * cfg.warmup_epochs / cfg.epochs)
     if step < warmup_steps:
-        return cfg.peak_lr * step / warmup_steps
+        lr = cfg.peak_lr * step / warmup_steps
+        # peak_lr * step overflows only for a peak_lr near the float maximum
+        return lr if math.isfinite(lr) else cfg.peak_lr * (step / warmup_steps)
     if step == warmup_steps:
         return cfg.peak_lr
     if step == total_steps:
         return cfg.floor_lr
     t = (step - warmup_steps) / (total_steps - warmup_steps)
-    return cfg.floor_lr + (cfg.peak_lr - cfg.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
+    lr = cfg.floor_lr + (cfg.peak_lr - cfg.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
+    return min(lr, cfg.peak_lr)  # floor + (peak - floor) can round one ulp past peak
 
 
 @dataclass

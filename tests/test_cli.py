@@ -4,6 +4,7 @@ Everything drives `ivit.cli.main` in-process so exit codes are asserted
 directly.
 """
 
+import math
 import os
 import re
 import struct
@@ -52,6 +53,18 @@ def untrained_checkpoint(path, **params):
         own[name].data[...] = value
     save_checkpoint(path, model)
     return path
+
+
+def rewrite_first_shape(path, ndim, dims):
+    """Give a checkpoint's first parameter entry the shape header ``ndim, dims`` and no data."""
+    blob = path.read_bytes()
+    (echo_len,) = struct.unpack_from("<I", blob, 8)
+    off = 12 + echo_len + 12  # past the echo, the u64 step and the u32 count
+    (name_len,) = struct.unpack_from("<H", blob, off)
+    head = off + 2 + name_len
+    old_dims = struct.unpack_from(f"<{blob[head]}I", blob, head + 1)
+    end = head + 1 + 4 * len(old_dims) + 4 * math.prod(old_dims)
+    path.write_bytes(blob[:head] + struct.pack(f"<B{ndim}I", ndim, *dims) + blob[end:])
 
 
 def fast_config(tmp_path, **overrides):
@@ -169,6 +182,15 @@ class TestMetaFaults:
         assert (code, out) == (3, "")
         assert err.startswith("error: meta.txt is not UTF-8") and err.count("\n") == 1
 
+    def test_class_names_short_of_n_classes_exits_3(self, tmp_path, data_dir, capsys):
+        meta = data_dir / "meta.txt"
+        text = meta.read_text()
+        assert text.endswith("\nfern\n")
+        meta.write_text(text[: -len("fern\n")])
+        code, out, err = self.build_bank(capsys, tmp_path, data_dir)
+        assert (code, out) == (3, "")
+        assert err == "error: meta.txt: 3 class names for 4 classes\n"
+
 
 def test_bank_name_table_not_utf8_exits_3(tmp_path, data_dir, bank_path, capsys):
     blob = bytearray(bank_path.read_bytes())
@@ -179,6 +201,15 @@ def test_bank_name_table_not_utf8_exits_3(tmp_path, data_dir, bank_path, capsys)
                          "--checkpoint", str(untrained_checkpoint(tmp_path / "m.ckpt")))
     assert (code, out) == (3, "")
     assert err.startswith("error: name 3 of the name table is not UTF-8")
+
+
+def test_bank_non_finite_feature_exits_3(tmp_path, data_dir, bank_path, capsys):
+    blob = bytearray(bank_path.read_bytes())
+    blob[25:29] = struct.pack("<f", np.nan)  # the first feature, right after the 25-byte header
+    bank_path.write_bytes(bytes(blob))
+    code, out, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                         "--checkpoint", str(untrained_checkpoint(tmp_path / "m.ckpt")))
+    assert (code, out, err) == (3, "", "error: bank features hold non-finite values\n")
 
 
 class TestTrainEval:
@@ -422,6 +453,19 @@ class TestTrainEval:
         code, _, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
                            "--checkpoint", str(ckpt))
         assert code == 3 and "7 trailing bytes" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("ndim,dims,message", [
+        (200, (0,) * 200, "has 200 axes"),               # beyond numpy's axis limit
+        (4, (65536,) * 4, "needed 73786976294838206464 bytes"),  # 2**64 elements, no int64 wrap
+    ], ids=["ndim-200", "size-2**64"])
+    def test_eval_checkpoint_with_bad_shape_header_exits_3(self, tmp_path, data_dir, bank_path, capsys,
+                                                            ndim, dims, message):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        rewrite_first_shape(ckpt, ndim, dims)
+        code, out, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                             "--checkpoint", str(ckpt))
+        assert (code, out) == (3, "")
+        assert message in err and err.count("\n") == 1
 
 
 def test_eval_without_bank_is_argument_error(tmp_path):

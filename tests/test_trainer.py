@@ -2,12 +2,15 @@
 
 import _ctypes
 import hashlib
+import math
 import os
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivit import _blas
 from ivit import dataset as ds
@@ -78,6 +81,40 @@ class TestSchedule:
             lr_at(-1, 100, DEFAULTS)
         with pytest.raises(ValueError):
             lr_at(101, 100, DEFAULTS)
+
+
+@st.composite
+def schedules(draw):
+    """Any valid TrainConfig schedule and run length (epochs times steps per epoch)."""
+    epochs = draw(st.integers(1, 1000))
+    peak = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    cfg = TrainConfig(epochs=epochs, warmup_epochs=draw(st.integers(0, epochs)), peak_lr=peak,
+                      floor_lr=draw(st.floats(min_value=0.0, max_value=peak)))
+    return cfg, epochs * draw(st.integers(1, 10**9))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(schedules(), st.data())
+def test_schedule_holds_for_any_valid_config(schedule, data):
+    cfg, total = schedule
+    peak, floor, slack = cfg.peak_lr, cfg.floor_lr, 4 * math.ulp(cfg.peak_lr)
+    warmup = round(total * cfg.warmup_epochs / cfg.epochs)
+    drawn = data.draw(st.integers(0, total))
+    for step in {0, warmup - 1, warmup, warmup + 1, total - 1, total, drawn}:
+        if 0 <= step <= total:
+            assert 0.0 <= lr_at(step, total, cfg) <= peak, step
+    # continuous at the junction: each neighbour is one warmup or cosine increment away
+    assert lr_at(warmup, total, cfg) == peak
+    if warmup > 0:
+        assert peak - lr_at(warmup - 1, total, cfg) <= peak / warmup + slack
+    if warmup < total:
+        cosine_step = (peak - floor) * 0.5 * (1.0 - math.cos(math.pi / (total - warmup)))
+        assert peak - lr_at(warmup + 1, total, cfg) <= cosine_step + slack
+        # the decay phase ends exactly at floor_lr; a run that is all warmup ends at peak_lr
+        assert lr_at(total, total, cfg) == floor
+    step = data.draw(st.integers(warmup, total))
+    if step < total:
+        assert lr_at(step, total, cfg) >= lr_at(step + 1, total, cfg)
 
 
 class TestAdam:
