@@ -127,9 +127,14 @@ class Backbone:
         self.blocks = [Block(cfg, rng, dtype) for _ in range(cfg.depth)]
         self.final_ln = LayerNorm(cfg.dim, dtype)
 
-    def patch_embed(self, images: Tensor) -> Tensor:
-        """[B, C, H, W] -> [B, N, dim]: non-overlapping patches, flattened and projected."""
+    def patch_embed(self, images: np.ndarray) -> Tensor:
+        """[B, C, H, W] pixel array -> [B, N, dim]: non-overlapping patches, flattened and projected.
+
+        The pixels are constant, so they are patchified in numpy and become a
+        ``Tensor`` only as the input of ``patch_proj``.
+        """
         cfg = self.cfg
+        images = np.asarray(images)
         if images.ndim != 4 or images.shape[1:] != (cfg.channels, cfg.image_size, cfg.image_size):
             raise ShapeError(
                 f"images shape {images.shape} does not match configured "
@@ -137,10 +142,9 @@ class Backbone:
             )
         b = images.shape[0]
         side = cfg.image_size // cfg.patch_size
-        x = T.reshape(images, (b, cfg.channels, side, cfg.patch_size, side, cfg.patch_size))
-        x = T.transpose(x, (0, 2, 4, 1, 3, 5))  # [B, hp, wp, C, ps, ps]
-        x = T.reshape(x, (b, cfg.n_patches, cfg.patch_dim))
-        return self.patch_proj(x)
+        x = images.reshape(b, cfg.channels, side, cfg.patch_size, side, cfg.patch_size)
+        x = x.transpose(0, 2, 4, 1, 3, 5)  # [B, hp, wp, C, ps, ps]
+        return self.patch_proj(Tensor(x.reshape(b, cfg.n_patches, cfg.patch_dim)))
 
     def add_positional(self, cls: Tensor, patches: Tensor) -> Tensor:
         """Concat [CLS | patches] and add the positional table. Prompts never come here."""

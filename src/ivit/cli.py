@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all op and model gradients")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)  # negative-control hook
 
     return parser
 
@@ -159,7 +158,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    errors, ok = run_suite(seed=args.seed, corrupt=args.corrupt)
+    errors, ok = run_suite(seed=args.seed)
     failing = []
     for name, err in errors.items():
         tol = MODEL_TOL if name == "full_model" else ELEMENTWISE_TOL

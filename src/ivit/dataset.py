@@ -17,6 +17,7 @@ Directory layout:
 
 Normalization statistics (scalar mean/std over the train split) are computed
 at generation time and applied to batches at load time as (x - mean) / std.
+Batches hold plain arrays; the model wraps pixels for autograd itself.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from ._atomic import write_atomic
 from .errors import ConsistencyError, FormatError, TruncatedFileError
-from .tensor import Tensor
 
 NOISE_STD = 0.25
 
@@ -70,7 +70,7 @@ class DatasetMeta:
 
 @dataclass
 class LabeledBatch:
-    images: Tensor                       # [B, C, H, W], normalized
+    images: np.ndarray                   # [B, C, H, W], normalized
     hard_labels: np.ndarray              # [B] int64
     raw_images: np.ndarray = field(repr=False, default=None)  # un-normalized pixels
     soft_labels: np.ndarray | None = None  # [B, C], rows sum to 1
@@ -220,7 +220,7 @@ class SyntheticDataset:
             idx = order[start : start + batch_size]
             raw = images[idx]
             yield LabeledBatch(
-                images=Tensor(self.normalize(raw)),
+                images=self.normalize(raw),
                 hard_labels=labels[idx].astype(np.int64),
                 raw_images=raw,
             )

@@ -196,19 +196,9 @@ def op_cases(seed: int, dtype=np.float64) -> dict[str, tuple[Callable[[], Tensor
     return cases
 
 
-def run_op_checks(seed: int = 0, corrupt: str | None = None) -> dict[str, float]:
-    """Relative error per op; ``corrupt`` fakes a broken gradient for one op.
-
-    The corruption hook exists purely as a negative control for the exit-code
-    contract of the CLI command.
-    """
-    errors: dict[str, float] = {}
-    for name, (build, inputs) in op_cases(seed).items():
-        err = check_gradients(build, inputs)
-        if corrupt == name:
-            err += 1.0
-        errors[name] = err
-    return errors
+def run_op_checks(seed: int = 0) -> dict[str, float]:
+    """Relative error per op."""
+    return {name: check_gradients(build, inputs) for name, (build, inputs) in op_cases(seed).items()}
 
 
 def run_model_check(seed: int = 0) -> float:
@@ -219,7 +209,6 @@ def run_model_check(seed: int = 0) -> float:
     """
     from .config import ModelConfig
     from .model import InstructionModel
-    from .prompts import PromptBank
 
     rng = np.random.default_rng(seed)
     cfg = ModelConfig(
@@ -227,30 +216,21 @@ def run_model_check(seed: int = 0) -> float:
         mlp_ratio=2.0, prompt_dim=8, n_classes=2,
     )
     model = InstructionModel(cfg, seed=seed, dtype=np.float64)
-    feats = rng.normal(size=(2, 8))
-    bank = PromptBank(
-        class_names=["a", "b"],
-        features=Tensor(feats, dtype=np.float64),
-        modality="text",
-        source="toy_text",
-        seed=0,
-    )
-    images = Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 4, 4)), dtype=np.float64)
+    prompts = rng.normal(size=(2, 8))
+    images = rng.uniform(-1.0, 1.0, size=(2, 3, 4, 4))
     labels = np.array([0, 1])
 
     def build() -> Tensor:
-        return model.total_loss(model.forward(images, bank), labels)[0]
+        return model.total_loss(model.forward(images, prompts), labels)[0]
 
     params = [p for _, p in model.named_parameters()]
     return check_gradients(build, params)
 
 
-def run_suite(seed: int = 0, corrupt: str | None = None) -> tuple[dict[str, float], bool]:
+def run_suite(seed: int = 0) -> tuple[dict[str, float], bool]:
     """Full suite: per-op errors plus the whole-model check. Returns (errors, ok)."""
-    errors = run_op_checks(seed=seed, corrupt=corrupt)
+    errors = run_op_checks(seed=seed)
     ok = all(e < ELEMENTWISE_TOL for e in errors.values())
     errors["full_model"] = run_model_check(seed=seed)
-    if corrupt == "full_model":
-        errors["full_model"] += 1.0
     ok = ok and errors["full_model"] < MODEL_TOL
     return errors, ok

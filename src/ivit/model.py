@@ -1,15 +1,19 @@
 """The prompt-conditioned classifier.
 
 Input tokens are assembled as [CLS | patches(+positions) | prompts]; the
-prompt segment is the feature rows of the bank passed to that forward call,
-pushed through a trainable affine projection and broadcast identically to
-every batch element, with no positional embedding. After the encoder, the
-CLS output feeds the classification head, and cosine similarities between
-the normalized CLS output and each normalized prompt output form the score
-row used by the similarity loss; the prompt segment is whatever follows CLS
-and the config's ``n_patches`` patch tokens. The model holds only
-parameters: the bank and the attention-dropout rng are arguments of each
-forward call.
+prompt segment is the ``[P, D_p]`` array of prompt rows passed to that
+forward call, pushed through a trainable affine projection and broadcast
+identically to every batch element, with no positional embedding. After the
+encoder, the CLS output feeds the classification head, and cosine
+similarities between the normalized CLS output and each normalized prompt
+output form the score row used by the similarity loss; the prompt segment is
+whatever follows CLS and the config's ``n_patches`` patch tokens. The model
+holds only parameters: the prompt rows and the attention-dropout rng are
+arguments of each forward call.
+
+Pixels and prompt rows arrive as plain arrays, since neither is ever
+differentiated; they become ``Tensor``s only where a parameter first
+touches them (`Backbone.patch_embed` and `assemble`).
 
 Losses:
     loss_pred  = cross-entropy(head logits, soft target)
@@ -31,7 +35,6 @@ from . import tensor as T
 from .backbone import Backbone, Linear
 from .config import ModelConfig
 from .errors import ConsistencyError, ShapeError
-from .prompts import PromptBank
 from .tensor import Tensor
 
 
@@ -62,27 +65,35 @@ class InstructionModel:
 
     # -- forward ------------------------------------------------------------
 
-    def assemble(self, images: Tensor, bank: PromptBank | None = None) -> Tensor:
-        """Build the [B, T, dim] [CLS | patches | prompts] input block; no bank means no prompt tokens."""
-        if bank is not None and bank.dim != self.config.prompt_dim:
-            raise ConsistencyError(
-                f"bank feature width {bank.dim} != configured prompt_dim {self.config.prompt_dim}"
-            )
-        b = images.shape[0]
+    def assemble(self, images: np.ndarray, prompts: np.ndarray | None = None) -> Tensor:
+        """Build the [B, T, dim] [CLS | patches | prompts] input block.
+
+        ``images`` is [B, C, H, W] and ``prompts`` a [P, D_p] array shared by
+        every image; no prompts or zero rows add no prompt tokens.
+        """
+        if prompts is not None:
+            prompts = np.asarray(prompts)
+            if prompts.ndim != 2:
+                raise ShapeError(f"prompt rows must be [P, D_p], got shape {prompts.shape}")
+            if prompts.shape[1] != self.config.prompt_dim:
+                raise ConsistencyError(
+                    f"bank feature width {prompts.shape[1]} != configured prompt_dim {self.config.prompt_dim}"
+                )
         patches = self.backbone.patch_embed(images)
+        b = patches.shape[0]
         seq = self.backbone.add_positional(T.broadcast_batch(self.backbone.cls_token, b), patches)
-        if bank is not None and bank.n_classes > 0:
-            feats = Tensor(bank.features.data, requires_grad=False, dtype=self.dtype)
-            seq = T.concat([seq, T.broadcast_batch(self.prompt_embed(feats), b)], axis=1)
+        if prompts is not None and prompts.shape[0] > 0:
+            rows = Tensor(prompts, dtype=self.dtype)
+            seq = T.concat([seq, T.broadcast_batch(self.prompt_embed(rows), b)], axis=1)
         return seq
 
-    def forward(self, images: Tensor, bank: PromptBank | None = None,
+    def forward(self, images: np.ndarray, prompts: np.ndarray | None = None,
                 dropout_rng: np.random.Generator | None = None) -> ForwardOutput:
-        """One batch with ``bank``'s rows as prompts (none: empty score row).
+        """One batch with ``prompts`` as the prompt rows (none: empty score row).
 
         ``dropout_rng`` turns attention dropout on for this call only.
         """
-        tokens = self.backbone.encoder_forward(self.assemble(images, bank), dropout_rng=dropout_rng)
+        tokens = self.backbone.encoder_forward(self.assemble(images, prompts), dropout_rng=dropout_rng)
         b, t, d = tokens.shape
         n_prompts = t - 1 - self.config.n_patches
         cls_out = T.reshape(T.narrow(tokens, 1, 0, 1), (b, d))
@@ -97,8 +108,6 @@ class InstructionModel:
     # -- losses -------------------------------------------------------------
 
     def _soft_target(self, target, n_cols: int) -> Tensor:
-        if isinstance(target, Tensor):
-            return target
         arr = np.asarray(target)
         if arr.ndim == 1:
             return Tensor(one_hot(arr, n_cols, dtype=self.dtype))
@@ -116,7 +125,7 @@ class InstructionModel:
         class index doubles as the score column index.
         """
         p = score.shape[1]
-        arr = np.asarray(target.data if isinstance(target, Tensor) else target)
+        arr = np.asarray(target)
         hard = arr if arr.ndim == 1 else None
         if hard is not None and hard.size and int(hard.max()) >= p:
             raise ConsistencyError(

@@ -6,6 +6,10 @@ elementwise mean of the two). The encoders here are deterministic toy
 stand-ins for a real frozen text/image encoder pair; externally computed
 features can be carried through the same bank file format instead.
 
+Prompt features are data, never parameters: the encoders return plain
+arrays, a bank holds an ``[N, D_p]`` array, and the model turns the rows it
+is given into a ``Tensor`` itself.
+
 Bank file layout (little-endian throughout):
 
     magic   4 bytes  "IVPB"
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,13 +43,10 @@ from .errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
-from .tensor import Tensor
-
 BANK_MAGIC = b"IVPB"
 BANK_VERSION = 1
 
 MODALITIES = ("text", "image", "mixed")
-SOURCES = ("toy_text", "toy_image", "file")
 
 _MODALITY_CODE = {"text": 0, "image": 1, "mixed": 2}
 _MODALITY_NAME = {v: k for k, v in _MODALITY_CODE.items()}
@@ -107,23 +108,24 @@ class PromptBank:
     """Per-class prompt feature table. Frozen data, never a parameter."""
 
     class_names: list[str]
-    features: Tensor  # [N, D_p]
+    features: np.ndarray  # [N, D_p], float32 or float64
     modality: str
-    source: str
-    seed: int = 0
+    seed: int = field(default=0, kw_only=True)
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
+        feats = np.asarray(self.features)
+        if feats.dtype not in (np.float32, np.float64):
+            feats = feats.astype(np.float32)
+        self.features = np.ascontiguousarray(feats)
         if self.features.ndim != 2 or self.features.shape[0] != len(self.class_names):
             raise ShapeError(
                 f"features shape {self.features.shape} does not match {len(self.class_names)} class names"
             )
         if self.features.shape[1] < 1:
             raise ShapeError("prompt feature width must be positive")
-        if not np.isfinite(self.features.data).all():
+        if not np.isfinite(self.features).all():
             raise ValueError("prompt features must be finite")
 
     @property
@@ -146,7 +148,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / (np.linalg.norm(v) + T.NORM_EPS)
 
 
-def toy_text_encode(text: str, dim: int) -> Tensor:
+def toy_text_encode(text: str, dim: int) -> np.ndarray:
     """Deterministic text feature: signed character-trigram hashing, unit norm.
 
     Trigram buckets come from a keyed stable hash, so the same string always
@@ -160,7 +162,7 @@ def toy_text_encode(text: str, dim: int) -> Tensor:
         h = int.from_bytes(digest, "little")
         sign = 1.0 if h & 1 == 0 else -1.0
         vec[(h >> 1) % dim] += sign
-    return Tensor(_unit(vec).astype(np.float32))
+    return _unit(vec).astype(np.float32)
 
 
 def _grid_pool(img: np.ndarray) -> np.ndarray:
@@ -185,15 +187,15 @@ def _projection(n_in: int, dim: int) -> np.ndarray:
     return _projection_cache[key]
 
 
-def toy_image_encode(image, dim: int) -> Tensor:
+def toy_image_encode(image, dim: int) -> np.ndarray:
     """Deterministic image feature: 4x4 grid pooling through a frozen Gaussian projection, unit norm."""
-    img = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
+    img = np.asarray(image, dtype=np.float64)
     if img.ndim != 3 or img.shape[1] < _GRID or img.shape[2] < _GRID:
         raise ShapeError(f"toy_image_encode expects [C, H, W] with H, W >= {_GRID}, got {img.shape}")
     if not np.isfinite(img).all():
         raise ValueError("image pixels must be finite")
-    feats = _grid_pool(np.asarray(img, dtype=np.float64))
-    return Tensor(_unit(feats @ _projection(feats.size, dim)).astype(np.float32))
+    feats = _grid_pool(img)
+    return _unit(feats @ _projection(feats.size, dim)).astype(np.float32)
 
 
 def _check_width(dim: int) -> None:
@@ -208,9 +210,9 @@ def build_text_bank(class_names: list[str], dim: int, templates: TemplateSet = T
     _check_width(dim)
     rows = np.empty((len(class_names), dim), dtype=np.float32)
     for i, name in enumerate(class_names):
-        encoded = np.stack([toy_text_encode(s, dim).data for s in render_templates(name, templates)])
+        encoded = np.stack([toy_text_encode(s, dim) for s in render_templates(name, templates)])
         rows[i] = _unit(encoded.mean(axis=0).astype(np.float64)).astype(np.float32)
-    return PromptBank(list(class_names), Tensor(rows), "text", "toy_text", seed=0)
+    return PromptBank(list(class_names), rows, "text")
 
 
 def build_image_bank(dataset, dim: int, seed: int) -> PromptBank:
@@ -228,29 +230,24 @@ def build_image_bank(dataset, dim: int, seed: int) -> PromptBank:
         if candidates.size == 0:
             raise ConsistencyError(f"class {names[c]!r} has no training images to pick a prompt from")
         pick = int(candidates[rng.integers(candidates.size)])
-        rows[c] = toy_image_encode(dataset.train_images[pick], dim).data
-    return PromptBank(names, Tensor(rows), "image", "toy_image", seed=seed)
+        rows[c] = toy_image_encode(dataset.train_images[pick], dim)
+    return PromptBank(names, rows, "image", seed=seed)
 
 
 def build_mixed_bank(text: PromptBank, image: PromptBank) -> PromptBank:
-    """Elementwise mean of the text and image rows; not re-normalized.
-
-    The mixed bank reports the text component's source unless either side
-    was loaded from a file.
-    """
+    """Elementwise mean of the text and image rows; not re-normalized."""
     if text.class_names != image.class_names:
         raise ConsistencyError("text and image banks list different classes")
     if text.dim != image.dim:
         raise ConsistencyError(f"prompt widths differ: text {text.dim} vs image {image.dim}")
     # the sum of two floats of equal precision is exact one precision up, so
     # averaging in float64 and rounding once preserves the identity bit-for-bit
-    rows = (text.features.data.astype(np.float64) + image.features.data.astype(np.float64)) / 2.0
+    rows = (text.features.astype(np.float64) + image.features.astype(np.float64)) / 2.0
     if text.features.dtype == np.float64 and image.features.dtype == np.float64:
         out = rows
     else:
         out = rows.astype(np.float32)
-    source = "file" if "file" in (text.source, image.source) else text.source
-    return PromptBank(list(text.class_names), Tensor(out), "mixed", source, seed=image.seed)
+    return PromptBank(list(text.class_names), out, "mixed", seed=image.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,7 @@ _HEADER = struct.Struct("<4sIBIIQ")
 
 
 def save_bank(bank: PromptBank, path) -> None:
-    feats = np.ascontiguousarray(bank.features.data.astype("<f4"))
+    feats = np.ascontiguousarray(bank.features.astype("<f4"))
     blob = bytearray()
     blob += _HEADER.pack(
         BANK_MAGIC, BANK_VERSION, _MODALITY_CODE[bank.modality],
@@ -315,4 +312,4 @@ def load_bank(path) -> PromptBank:
         raise FormatError(
             f"name table row count disagrees with feature rows: {len(blob) - off} trailing bytes after {n} names"
         )
-    return PromptBank(names, Tensor(feats), _MODALITY_NAME[mod_code], "file", seed=seed)
+    return PromptBank(names, feats, _MODALITY_NAME[mod_code], seed=seed)

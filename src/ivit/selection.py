@@ -10,6 +10,10 @@ remainder token represents no single class, so score-mode prediction under
 selection excludes it from the argmax; with the true class possibly
 filtered out, score-mode accuracy under selection is measured over the kept
 classes only.
+
+Everything here is frozen data and stays in numpy: `selected_bank` returns
+the prompt-row array, kept rows then the remainder row, that one image's
+forward is fed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .prompts import PromptBank, toy_image_encode
-from .tensor import Tensor
 
 
 @dataclass
@@ -32,18 +35,14 @@ class SelectionResult:
     remainder_feature: np.ndarray | None   # [D_p], None when K >= N
     scores: np.ndarray                     # [N] zero-shot similarities, float32
 
-    @property
-    def n_tokens(self) -> int:
-        return len(self.kept_indices) + (0 if self.remainder_feature is None else 1)
-
 
 def zero_shot_scores(image, bank: PromptBank) -> np.ndarray:
     """Cosine similarity of the image's frozen feature against every bank row."""
     if bank.n_classes == 0:
         raise ConsistencyError("prompt bank is empty")
-    f = toy_image_encode(image, bank.dim).data.astype(np.float64)
+    f = toy_image_encode(image, bank.dim).astype(np.float64)
     f /= np.linalg.norm(f) + 1e-12
-    rows = bank.features.data.astype(np.float64)
+    rows = bank.features.astype(np.float64)
     rows = rows / (np.linalg.norm(rows, axis=1, keepdims=True) + 1e-12)
     return (rows @ f).astype(np.float32)
 
@@ -59,7 +58,7 @@ def select(image, bank: PromptBank, k: int) -> SelectionResult:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = zero_shot_scores(image, bank)
     order = rank_descending(scores)
-    feats = bank.features.data
+    feats = bank.features
     if k >= bank.n_classes:
         kept = order
         remainder = None
@@ -75,16 +74,11 @@ def select(image, bank: PromptBank, k: int) -> SelectionResult:
     )
 
 
-def selected_bank(bank: PromptBank, sel: SelectionResult) -> PromptBank:
-    """A per-image mini-bank: kept rows first, then the remainder token if any."""
-    rows = [sel.kept_features]
-    names = [bank.class_names[i] for i in sel.kept_indices]
-    if sel.remainder_feature is not None:
-        rows.append(sel.remainder_feature[None, :])
-        names.append("(remainder)")
-    return PromptBank(
-        names, Tensor(np.concatenate(rows, axis=0)), bank.modality, bank.source, seed=bank.seed
-    )
+def selected_bank(sel: SelectionResult) -> np.ndarray:
+    """One image's prompt rows: the kept rows first, then the remainder row if any."""
+    if sel.remainder_feature is None:
+        return sel.kept_features
+    return np.concatenate([sel.kept_features, sel.remainder_feature[None, :]], axis=0)
 
 
 def predict_from_selection(score_row: np.ndarray, sel: SelectionResult) -> int:

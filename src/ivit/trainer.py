@@ -118,10 +118,10 @@ def mixup(batch_a: LabeledBatch, batch_b: LabeledBatch, alpha: float,
             images=batch_a.images, hard_labels=batch_a.hard_labels,
             raw_images=batch_a.raw_images, soft_labels=ya,
         )
-    images = lam * batch_a.images.data + (1.0 - lam) * batch_b.images.data
+    images = lam * batch_a.images + (1.0 - lam) * batch_b.images
     soft = lam * ya + (1.0 - lam) * one_hot(batch_b.hard_labels, n_classes)
     return LabeledBatch(
-        images=Tensor(images.astype(np.float32)),
+        images=images.astype(np.float32),
         hard_labels=batch_a.hard_labels,
         raw_images=batch_a.raw_images,
         soft_labels=soft,
@@ -130,7 +130,7 @@ def mixup(batch_a: LabeledBatch, batch_b: LabeledBatch, alpha: float,
 
 def _permuted(batch: LabeledBatch, perm: np.ndarray) -> LabeledBatch:
     return LabeledBatch(
-        images=Tensor(batch.images.data[perm]),
+        images=batch.images[perm],
         hard_labels=batch.hard_labels[perm],
         raw_images=batch.raw_images[perm] if batch.raw_images is not None else None,
     )
@@ -176,7 +176,7 @@ def _selected_forwards(model: InstructionModel, batch: LabeledBatch, bank: Promp
     """
     for i in range(len(batch)):
         sel = select(batch.raw_images[i], bank, k)
-        out = model.forward(Tensor(batch.images.data[i : i + 1]), selected_bank(bank, sel), dropout_rng)
+        out = model.forward(batch.images[i : i + 1], selected_bank(sel), dropout_rng)
         yield int(batch.hard_labels[i]), sel, out
 
 
@@ -229,8 +229,8 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
           stop_at_head_top1: float | None = None) -> list[EpochMetrics]:
     """Run the full loop; returns the per-epoch metrics history.
 
-    Every training forward gets ``bank`` and the run's attention-dropout rng
-    as arguments; the model keeps neither. When ``out_dir`` is set, a
+    Every training forward gets ``bank``'s feature rows and the run's
+    attention-dropout rng as arguments; the model keeps neither. When ``out_dir`` is set, a
     checkpoint lands there every epoch plus a final ``metrics.csv``. A
     floating-point overflow, invalid value or division by zero in a step
     (forward, loss, backward, clipping, Adam), a non-finite step loss, or a
@@ -286,7 +286,7 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
                         loss, pred_val, score_val = _selected_batch_loss(
                             model, batch, bank, model.config.select_k, dropout_rng)
                     else:
-                        out = model.forward(batch.images, bank, dropout_rng)
+                        out = model.forward(batch.images, bank.features, dropout_rng)
                         loss, pred_val, score_val = model.total_loss(out, target)
                     total = loss.item()
                     if not math.isfinite(total):
@@ -348,7 +348,7 @@ def _eval_workers() -> int:
 
 def _eval_batch_plain(model: InstructionModel, batch: LabeledBatch,
                      bank: PromptBank) -> tuple[int, int]:
-    out = model.forward(batch.images, bank)
+    out = model.forward(batch.images, bank.features)
     head_hits = int((model.predict(out, "head") == batch.hard_labels).sum())
     score_hits = int((model.predict(out, "score") == batch.hard_labels).sum())
     return head_hits, score_hits

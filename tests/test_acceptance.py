@@ -39,7 +39,7 @@ from ivit.prompts import (
     load_bank,
     save_bank,
 )
-from ivit.selection import rank_descending, select
+from ivit.selection import rank_descending, select, selected_bank
 from ivit.tensor import Tensor
 from ivit.trainer import FreezePolicy, TrainConfig as TC, evaluate, lr_at, train
 
@@ -99,17 +99,14 @@ def test_criterion_2_prompt_permutation_equivariance():
                       mlp_ratio=2.0, prompt_dim=16, n_classes=8)
     model = InstructionModel(cfg, seed=2, dtype=np.float64)
     rng = np.random.default_rng(7)
-    bank = PromptBank([f"c{i}" for i in range(8)],
-                      Tensor(rng.normal(size=(8, 16))), "text", "toy_text")
-    images = Tensor(rng.normal(size=(3, 3, 16, 16)), dtype=np.float64)
-    base = model.forward(images, bank)
+    prompts = rng.normal(size=(8, 16))
+    images = rng.normal(size=(3, 3, 16, 16))
+    base = model.forward(images, prompts)
     worst_score = 0.0
     worst_logits = 0.0
     for _ in range(20):
         perm = rng.permutation(8)
-        permuted = PromptBank([bank.class_names[i] for i in perm],
-                              Tensor(bank.features.data[perm]), "text", "toy_text")
-        out = model.forward(images, bank=permuted)
+        out = model.forward(images, prompts=prompts[perm])
         worst_score = max(worst_score, float(np.abs(out.score.data - base.score.data[:, perm]).max()))
         worst_logits = max(worst_logits, float(np.abs(out.logits.data - base.logits.data).max()))
     ok = worst_score < 1e-6 and worst_logits < 1e-6
@@ -167,20 +164,20 @@ def test_criterion_4_selection_oracle():
         rows = rng.normal(size=(n, 24)).astype(np.float32)
         if trial % 4 == 0 and n >= 3:
             rows[1] = rows[0]  # exact tie through the encoder scores
-        bank = PromptBank([f"c{i}" for i in range(n)], Tensor(rows), "image", "toy_image")
+        bank = PromptBank([f"c{i}" for i in range(n)], rows, "image")
         img = rng.normal(size=(3, 8, 8))
         k = int(rng.integers(1, n + 1))
         sel = select(img, bank, k)
         expected = oracle(list(sel.scores), min(k, n))
         full_ok = full_ok and sel.kept_indices == expected
         if k < n:
-            count_ok = count_ok and sel.n_tokens == k + 1
+            count_ok = count_ok and selected_bank(sel).shape[0] == k + 1
             excluded = [i for i in range(n) if i not in sel.kept_indices]
             dev = np.abs(sel.remainder_feature
                          - rows[excluded].astype(np.float64).mean(axis=0)).max()
             remainder_ok = remainder_ok and dev < 1e-5
         else:
-            count_ok = count_ok and sel.n_tokens == n and sel.remainder_feature is None
+            count_ok = count_ok and selected_bank(sel).shape[0] == n and sel.remainder_feature is None
 
     report("selection oracle", rank_ok and full_ok and count_ok and remainder_ok,
            "200 ranking vectors incl. ties, 40 full select() calls")
@@ -236,16 +233,14 @@ def test_criterion_6_schedule_endpoints():
 def test_criterion_7_mixed_prompt_identity(smoke):
     banks = smoke["banks"]
     # double precision: the identity holds exactly
-    text64 = PromptBank(banks["text"].class_names,
-                        Tensor(banks["text"].features.data, dtype=np.float64), "text", "toy_text")
-    image64 = PromptBank(banks["image"].class_names,
-                         Tensor(banks["image"].features.data, dtype=np.float64), "image", "toy_image")
+    text64 = PromptBank(banks["text"].class_names, banks["text"].features.astype(np.float64), "text")
+    image64 = PromptBank(banks["image"].class_names, banks["image"].features.astype(np.float64), "image")
     mixed64 = build_mixed_bank(text64, image64)
-    exact = np.array_equal(mixed64.features.data,
-                           (text64.features.data + image64.features.data) / 2.0)
+    exact = np.array_equal(mixed64.features,
+                           (text64.features + image64.features) / 2.0)
     # single precision: the stored rows sit within 1e-6 of the true mean
-    m32 = banks["mixed"].features.data
-    single_dev = float(np.abs(m32.astype(np.float64) - mixed64.features.data).max())
+    m32 = banks["mixed"].features
+    single_dev = float(np.abs(m32.astype(np.float64) - mixed64.features).max())
     report("mixed-prompt identity", exact and single_dev < 1e-6,
            f"double exact={exact}, single dev {single_dev:.1e}")
 
@@ -297,7 +292,7 @@ def test_criterion_10_file_formats(tmp_path, smoke):
     loaded = load_bank(bank_path)
     bank_path2 = tmp_path / "bank2.ivpb"
     save_bank(loaded, bank_path2)
-    bank_ok = (np.array_equal(loaded.features.data, smoke["banks"]["mixed"].features.data)
+    bank_ok = (np.array_equal(loaded.features, smoke["banks"]["mixed"].features)
                and bank_path.read_bytes() == bank_path2.read_bytes())
 
     # checkpoint round-trip

@@ -41,18 +41,18 @@ class TestConfig:
 class TestPatchEmbed:
     def test_output_shape(self):
         bb = make_backbone(image_size=32, patch_size=8)
-        out = bb.patch_embed(Tensor(np.zeros((2, 3, 32, 32)), dtype=np.float64))
+        out = bb.patch_embed(np.zeros((2, 3, 32, 32)))
         assert out.shape == (2, 16, 16)
 
     def test_zero_image_embeds_to_bias(self):
         bb = make_backbone()
-        out = bb.patch_embed(Tensor(np.zeros((1, 3, 8, 8)), dtype=np.float64))
+        out = bb.patch_embed(np.zeros((1, 3, 8, 8)))
         np.testing.assert_allclose(out.data, np.broadcast_to(bb.patch_proj.bias.data, out.shape))
 
     def test_wrong_size_rejected(self):
         bb = make_backbone()
         with pytest.raises(ShapeError):
-            bb.patch_embed(Tensor(np.zeros((1, 3, 12, 12))))
+            bb.patch_embed(np.zeros((1, 3, 12, 12)))
 
     def test_patch_pixels_route_to_their_patch(self):
         # lighting up one pixel may only change the patch that contains it
@@ -60,8 +60,7 @@ class TestPatchEmbed:
         base = np.zeros((1, 3, 8, 8))
         lit = base.copy()
         lit[0, 1, 6, 1] = 1.0  # row 6, col 1 -> patch row 1, col 0 -> patch index 2
-        delta = bb.patch_embed(Tensor(lit, dtype=np.float64)).data - bb.patch_embed(
-            Tensor(base, dtype=np.float64)).data
+        delta = bb.patch_embed(lit).data - bb.patch_embed(base).data
         changed = np.flatnonzero(np.abs(delta).sum(axis=2)[0])
         assert list(changed) == [2]
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ivit import dataset as ds
+from ivit import tensor as T
 from ivit.checkpoint import save_checkpoint
 from ivit.cli import main
 from ivit.config import ModelConfig
@@ -122,9 +123,9 @@ class TestBuildBank:
             assert main(["build-bank", "--data", str(data_dir), "--modality", modality,
                          "--dim", "16", "--seed", "3", "--out", str(p)]) == 0
             paths[modality] = p
-        text = load_bank(paths["text"]).features.data
-        image = load_bank(paths["image"]).features.data
-        mixed = load_bank(paths["mixed"]).features.data
+        text = load_bank(paths["text"]).features
+        image = load_bank(paths["image"]).features
+        mixed = load_bank(paths["mixed"]).features
         np.testing.assert_allclose(mixed, (text + image) / 2.0, atol=1e-6)
 
     def test_unknown_modality(self, tmp_path, data_dir, capsys):
@@ -482,8 +483,18 @@ class TestGradcheckCommand:
         assert "gradcheck passed" in out
         assert "full_model" in out
 
-    def test_corrupted_gradient_names_the_op(self, capsys):
-        code, out, err = run(capsys, "gradcheck", "--seed", "0", "--corrupt", "softmax")
+    def test_corrupted_gradient_names_the_op(self, capsys, monkeypatch):
+        true_softmax = T.softmax
+
+        def softmax_with_doubled_gradient(x, axis=-1):
+            out = true_softmax(x, axis)
+            if out._backward is not None:
+                backward = out._backward
+                out._backward = lambda g: tuple(2.0 * gx for gx in backward(g))
+            return out
+
+        monkeypatch.setattr(T, "softmax", softmax_with_doubled_gradient)
+        code, out, err = run(capsys, "gradcheck", "--seed", "0")
         assert code == 1
         assert "softmax" in err
 

@@ -117,7 +117,7 @@ class TestLoader:
         data = ds.load(out)
         batch = next(iter(data.val_batches(4)))
         np.testing.assert_allclose(
-            batch.images.data, (batch.raw_images - meta.mean) / meta.std, atol=1e-6
+            batch.images, (batch.raw_images - meta.mean) / meta.std, atol=1e-6
         )
 
 

@@ -1,0 +1,60 @@
+"""Module layering, read from the source with `ast`.
+
+Pixels and prompt rows are frozen data: they stay numpy arrays until a
+parameter first touches them inside the model. So the model needs nothing
+from the prompt module, and the modules that produce frozen data never name
+the autograd `Tensor`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ivit
+
+SRC = Path(ivit.__file__).resolve().parent
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def imports_module(tree: ast.Module, module: str) -> bool:
+    """True if the file imports ``ivit.<module>`` in any spelling.
+
+    Covers ``from .prompts import X``, ``from . import prompts``,
+    ``from ivit.prompts import X`` and ``import ivit.prompts``.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[:2] == ["ivit", module] for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if parts[:1] != ["ivit"]:
+                    continue
+                parts = parts[1:]
+            if parts[:1] == [module] or (not parts and any(a.name == module for a in node.names)):
+                return True
+    return False
+
+
+def names_tensor(tree: ast.Module) -> bool:
+    """True if the file imports `Tensor` or reaches it as an attribute (``T.Tensor``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "Tensor" for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "Tensor":
+            return True
+    return False
+
+
+def test_model_imports_nothing_from_prompts():
+    assert not imports_module(parse("model"), "prompts")
+
+
+@pytest.mark.parametrize("module", ["prompts", "selection", "dataset"])
+def test_frozen_data_modules_do_not_import_tensor(module):
+    assert not names_tensor(parse(module))

@@ -2,16 +2,16 @@
 prediction rules, and the end-to-end gradient check on a tiny model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ivit import tensor as T
 from ivit.config import ModelConfig
-from ivit.errors import ConfigError, ConsistencyError
+from ivit.errors import ConfigError, ConsistencyError, ShapeError
 from ivit.gradcheck import run_model_check
 from ivit.model import ForwardOutput, InstructionModel, one_hot
-from ivit.prompts import PromptBank
 from ivit.tensor import Tensor
 
 
@@ -22,24 +22,21 @@ def tiny_config(n_classes=2, prompt_dim=8, **kw):
     return ModelConfig(**base)
 
 
-def random_bank(n_classes, dim, seed=0, names=None):
-    rng = np.random.default_rng(seed)
-    names = names or [f"c{i}" for i in range(n_classes)]
-    return PromptBank(names, Tensor(rng.normal(size=(n_classes, dim))), "text", "toy_text")
+def random_prompts(n_rows, dim, seed=0):
+    return np.random.default_rng(seed).normal(size=(n_rows, dim))
 
 
 def make_model(n_classes=2, n_prompts=None, dtype=np.float64, seed=0, **kw):
     cfg = tiny_config(n_classes=n_classes, **kw)
     model = InstructionModel(cfg, seed=seed, dtype=dtype)
-    bank = random_bank(n_prompts if n_prompts is not None else n_classes, cfg.prompt_dim, seed=seed + 1)
-    return model, bank
+    prompts = random_prompts(n_prompts if n_prompts is not None else n_classes, cfg.prompt_dim, seed=seed + 1)
+    return model, prompts
 
 
 def images_for(model, batch=2, seed=3):
     cfg = model.config
     rng = np.random.default_rng(seed)
-    return Tensor(rng.normal(size=(batch, cfg.channels, cfg.image_size, cfg.image_size)),
-                  dtype=model.dtype)
+    return rng.normal(size=(batch, cfg.channels, cfg.image_size, cfg.image_size)).astype(model.dtype)
 
 
 class TestConfigValidation:
@@ -58,8 +55,8 @@ class TestConfigValidation:
 
 class TestAssemble:
     def test_token_count(self):
-        model, bank = make_model(n_prompts=8, image_size=32, patch_size=8)
-        tokens = model.assemble(images_for(model), bank)
+        model, prompts = make_model(n_prompts=8, image_size=32, patch_size=8)
+        tokens = model.assemble(images_for(model), prompts)
         assert tokens.shape == (2, 1 + 16 + 8, 16)
 
     def test_empty_bank_degenerates_to_plain_vit(self):
@@ -69,50 +66,60 @@ class TestAssemble:
         assert model.forward(images_for(model)).score.shape == (2, 0)
 
     def test_prompt_segment_identical_across_batch(self):
-        model, bank = make_model(n_prompts=3)
-        prompts = model.assemble(images_for(model, batch=4), bank).data[:, -3:]
+        model, prompts = make_model(n_prompts=3)
+        segment = model.assemble(images_for(model, batch=4), prompts).data[:, -3:]
         for b in range(1, 4):
-            np.testing.assert_array_equal(prompts[b], prompts[0])
+            np.testing.assert_array_equal(segment[b], segment[0])
 
     def test_bank_width_mismatch(self):
         model, _ = make_model()
         with pytest.raises(ConsistencyError, match="bank feature width 5 != configured prompt_dim 8"):
-            model.assemble(images_for(model), random_bank(2, 5))
+            model.assemble(images_for(model), random_prompts(2, 5))
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 2, 8)])
+    def test_prompt_rows_must_be_2d(self, shape):
+        model, _ = make_model()
+        with pytest.raises(ShapeError, match=rf"\[P, D_p\], got shape {re.escape(str(shape))}"):
+            model.assemble(images_for(model), np.zeros(shape))
+
+    def test_zero_prompt_rows_give_empty_score_row(self):
+        model, _ = make_model()
+        images = images_for(model)
+        tokens = model.assemble(images, np.zeros((0, 8)))
+        assert tokens.shape == (2, 1 + 4, 16)
+        assert model.forward(images, np.zeros((0, 8))).score.shape == (2, 0)
+        with pytest.raises(ConsistencyError, match="bank feature width 5"):
+            model.assemble(images, np.zeros((0, 5)))
 
 
 class TestForward:
     def test_shapes(self):
-        model, bank = make_model(n_classes=4, n_prompts=6)
-        out = model.forward(images_for(model, batch=3), bank)
+        model, prompts = make_model(n_classes=4, n_prompts=6)
+        out = model.forward(images_for(model, batch=3), prompts)
         assert out.logits.shape == (3, 4)
         assert out.score.shape == (3, 6)
         assert out.cls_feature.shape == (3, 16)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_outputs_keep_model_dtype(self, dtype):
-        model, bank = make_model(n_classes=3, n_prompts=4, dtype=dtype, depth=2)
-        out = model.forward(images_for(model, batch=2), bank)
+        model, prompts = make_model(n_classes=3, n_prompts=4, dtype=dtype, depth=2)
+        out = model.forward(images_for(model, batch=2), prompts)
         assert out.logits.dtype == dtype
         assert out.score.dtype == dtype
         assert out.cls_feature.dtype == dtype
 
     def test_score_bounded_by_one(self):
-        model, bank = make_model(n_prompts=5)
-        out = model.forward(images_for(model, batch=8, seed=11), bank)
+        model, prompts = make_model(n_prompts=5)
+        out = model.forward(images_for(model, batch=8, seed=11), prompts)
         assert (np.abs(out.score.data) <= 1.0 + 1e-6).all()
 
     def test_bank_permutation_permutes_score_columns(self):
-        model, bank = make_model(n_prompts=6)
+        model, prompts = make_model(n_prompts=6)
         images = images_for(model, batch=3)
-        base = model.forward(images, bank)
+        base = model.forward(images, prompts)
         for trial in range(5):
             perm = np.random.default_rng(trial).permutation(6)
-            permuted = PromptBank(
-                [bank.class_names[i] for i in perm],
-                Tensor(bank.features.data[perm]),
-                bank.modality, bank.source,
-            )
-            out = model.forward(images, bank=permuted)
+            out = model.forward(images, prompts=prompts[perm])
             np.testing.assert_allclose(out.score.data, base.score.data[:, perm], atol=1e-6)
             np.testing.assert_allclose(out.logits.data, base.logits.data, atol=1e-6)
 
@@ -168,8 +175,8 @@ class TestLosses:
             model.loss_score(score, np.array([3]))
 
     def test_total_is_plain_sum(self):
-        model, bank = make_model(n_classes=2, n_prompts=2)
-        out = model.forward(images_for(model), bank)
+        model, prompts = make_model(n_classes=2, n_prompts=2)
+        out = model.forward(images_for(model), prompts)
         target = np.array([0, 1])
         loss, pred, score = model.total_loss(out, target)
         total = loss.item()
@@ -180,7 +187,7 @@ class TestLosses:
                             model.loss_score(out.score, target).item()) >= 0.0
 
     def test_total_gradient_is_sum_of_part_gradients(self):
-        model, bank = make_model(n_classes=2, n_prompts=2)
+        model, prompts = make_model(n_classes=2, n_prompts=2)
         images = images_for(model)
         target = np.array([0, 1])
         name, probe = next(iter(model.parameter_dict().items()))
@@ -190,9 +197,9 @@ class TestLosses:
             T.backward(loss_fn())
             return probe.grad.copy()
 
-        g_total = grad_of(lambda: model.total_loss(model.forward(images, bank), target)[0])
-        g_pred = grad_of(lambda: model.loss_pred(model.forward(images, bank).logits, target))
-        g_score = grad_of(lambda: model.loss_score(model.forward(images, bank).score, target))
+        g_total = grad_of(lambda: model.total_loss(model.forward(images, prompts), target)[0])
+        g_pred = grad_of(lambda: model.loss_pred(model.forward(images, prompts).logits, target))
+        g_score = grad_of(lambda: model.loss_score(model.forward(images, prompts).score, target))
         denom = np.abs(g_total).max() + 1e-12
         assert np.abs(g_total - (g_pred + g_score)).max() / denom < 1e-6
 
@@ -205,8 +212,8 @@ class TestLosses:
         assert loss.item() == pytest.approx(model.loss_pred(out.logits, np.array([0, 1])).item(), abs=1e-9)
 
     def test_loss_weights_apply(self):
-        model, bank = make_model(n_classes=2, n_prompts=2, loss_pred_weight=2.0, loss_score_weight=0.5)
-        out = model.forward(images_for(model), bank)
+        model, prompts = make_model(n_classes=2, n_prompts=2, loss_pred_weight=2.0, loss_score_weight=0.5)
+        out = model.forward(images_for(model), prompts)
         target = np.array([0, 1])
         expected = 2.0 * model.loss_pred(out.logits, target).item() \
             + 0.5 * model.loss_score(out.score, target).item()
@@ -245,8 +252,8 @@ class TestPredict:
             assert np.array_equal(cosine_argmax(factor * cls), base)
 
     def test_score_mode_requires_class_alignment(self):
-        model, bank = make_model(n_classes=4, n_prompts=2)
-        out = model.forward(images_for(model), bank)
+        model, prompts = make_model(n_classes=4, n_prompts=2)
+        out = model.forward(images_for(model), prompts)
         with pytest.raises(ConsistencyError, match="class-aligned"):
             model.predict(out, "score")
 

@@ -7,6 +7,7 @@ from ivit.errors import (
     BadMagicError,
     ConsistencyError,
     FormatError,
+    ShapeError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -37,8 +38,8 @@ class FakeDataset:
 
 def picked_rows(data, bank):
     """The training row each class's image prompt was encoded from."""
-    encoded = [toy_image_encode(img, bank.dim).data for img in data.train_images]
-    return [next(i for i, e in enumerate(encoded) if np.array_equal(e, row)) for row in bank.features.data]
+    encoded = [toy_image_encode(img, bank.dim) for img in data.train_images]
+    return [next(i for i, e in enumerate(encoded) if np.array_equal(e, row)) for row in bank.features]
 
 
 def two_image_dataset(seed=0):
@@ -78,32 +79,32 @@ class TestToyTextEncoder:
     def test_deterministic(self):
         a = toy_text_encode("a photo of a dog.", 64)
         b = toy_text_encode("a photo of a dog.", 64)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_unit_norm(self):
         v = toy_text_encode("a photo of a heron.", 48)
-        assert np.linalg.norm(v.data) == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-6)
 
     def test_different_words_differ(self):
-        a = toy_text_encode("dog", 64).data
-        b = toy_text_encode("zebra", 64).data
+        a = toy_text_encode("dog", 64)
+        b = toy_text_encode("zebra", 64)
         assert float(a @ b) < 1.0 - 1e-6
 
 
 class TestToyImageEncoder:
     def test_deterministic(self):
         img = np.random.default_rng(0).normal(size=(3, 8, 8))
-        assert np.array_equal(toy_image_encode(img, 32).data, toy_image_encode(img, 32).data)
+        assert np.array_equal(toy_image_encode(img, 32), toy_image_encode(img, 32))
 
     def test_unit_norm(self):
         img = np.random.default_rng(1).normal(size=(3, 16, 16))
-        assert np.linalg.norm(toy_image_encode(img, 32).data) == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.norm(toy_image_encode(img, 32)) == pytest.approx(1.0, abs=1e-6)
 
     def test_one_grid_cell_changes_feature(self):
         img = np.zeros((1, 8, 8))
         other = img.copy()
         other[0, 0:2, 0:2] = 3.0  # entirely inside grid cell (0, 0)
-        assert not np.array_equal(toy_image_encode(img, 32).data, toy_image_encode(other, 32).data)
+        assert not np.array_equal(toy_image_encode(img, 32), toy_image_encode(other, 32))
 
     def test_too_small_rejected(self):
         with pytest.raises(Exception):
@@ -114,20 +115,20 @@ class TestTextBank:
     def test_bank_shape_and_metadata(self):
         bank = build_text_bank(["cat", "dog", "fox"], 32)
         assert bank.features.shape == (3, 32)
-        assert bank.modality == "text" and bank.source == "toy_text"
+        assert bank.modality == "text"
 
     def test_mean_of_identical_vectors_is_that_vector(self):
         # all templates render to the same string -> all 30 features identical
         same = TemplateSet(("same text {}",) * 30)
         bank = build_text_bank(["dog"], 64, templates=same)
-        single = toy_text_encode("same text dog", 64).data
-        np.testing.assert_allclose(bank.features.data[0], single, atol=1e-7)
+        single = toy_text_encode("same text dog", 64)
+        np.testing.assert_allclose(bank.features[0], single, atol=1e-7)
 
     def test_template_order_irrelevant(self):
         shuffled = tuple(reversed(DEFAULT_TEMPLATES))
         a = build_text_bank(["fox"], 32)
         b = build_text_bank(["fox"], 32, templates=TemplateSet(shuffled))
-        np.testing.assert_allclose(a.features.data, b.features.data, atol=1e-6)
+        np.testing.assert_allclose(a.features, b.features, atol=1e-6)
 
     def test_empty_class_list_rejected(self):
         with pytest.raises(ValueError):
@@ -135,7 +136,7 @@ class TestTextBank:
 
     def test_rows_unit_norm(self):
         bank = build_text_bank(["cat", "dog"], 32)
-        np.testing.assert_allclose(np.linalg.norm(bank.features.data, axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(np.linalg.norm(bank.features, axis=1), 1.0, atol=1e-6)
 
 
 class TestImageBank:
@@ -143,7 +144,7 @@ class TestImageBank:
         data = two_image_dataset()
         a = build_image_bank(data, 16, seed=5)
         b = build_image_bank(data, 16, seed=5)
-        assert np.array_equal(a.features.data, b.features.data)
+        assert np.array_equal(a.features, b.features)
 
     def test_single_image_class_forced(self):
         rng = np.random.default_rng(2)
@@ -163,31 +164,57 @@ class TestImageBank:
             build_image_bank(data, 16, seed=0)
 
 
+class TestPromptBank:
+    def test_seed_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            PromptBank(["a"], [[1.0, 0.0]], "text", "toy_text")
+        assert PromptBank(["a"], [[1.0, 0.0]], "image", seed=7).seed == 7
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 2.0], [3.0, 4.0]],
+        np.array([[1, 2], [3, 4]]),
+        np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32),
+        np.arange(4.0).reshape(2, 2).T,
+    ], ids=["list", "int", "float32", "non-contiguous-float64"])
+    def test_rows_are_stored_as_a_tensor_stores_them(self, rows):
+        stored = PromptBank(["a", "b"], rows, "text").features
+        expected = Tensor(rows).data
+        assert isinstance(stored, np.ndarray) and stored.flags.c_contiguous
+        assert stored.dtype == expected.dtype
+        np.testing.assert_array_equal(stored, expected)
+
+    @pytest.mark.parametrize("rows", [[1.0, 2.0], np.zeros((2, 2, 2)), np.zeros((3, 2)), np.zeros((2, 0))],
+                             ids=["1-D", "3-D", "row-count", "zero-width"])
+    def test_bad_shape_raises_shape_error(self, rows):
+        with pytest.raises(ShapeError):
+            PromptBank(["a", "b"], rows, "text")
+
+
 class TestMixedBank:
     def make_pair(self):
-        text = PromptBank(["a", "b"], Tensor([[1.0, 0.0], [0.0, 1.0]]), "text", "toy_text")
-        image = PromptBank(["a", "b"], Tensor([[0.0, 1.0], [1.0, 0.0]]), "image", "toy_image", seed=3)
+        text = PromptBank(["a", "b"], [[1.0, 0.0], [0.0, 1.0]], "text")
+        image = PromptBank(["a", "b"], [[0.0, 1.0], [1.0, 0.0]], "image", seed=3)
         return text, image
 
     def test_elementwise_mean(self):
         text, image = self.make_pair()
         mixed = build_mixed_bank(text, image)
-        np.testing.assert_array_equal(mixed.features.data, [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_array_equal(mixed.features, [[0.5, 0.5], [0.5, 0.5]])
         assert mixed.modality == "mixed"
 
     def test_mixing_identical_banks_is_identity(self):
         text, _ = self.make_pair()
-        other = PromptBank(["a", "b"], Tensor(text.features.data.copy()), "image", "toy_image")
+        other = PromptBank(["a", "b"], text.features.copy(), "image")
         mixed = build_mixed_bank(text, other)
-        np.testing.assert_array_equal(mixed.features.data, text.features.data)
+        np.testing.assert_array_equal(mixed.features, text.features)
 
     def test_symmetric(self):
         text, image = self.make_pair()
-        ab = build_mixed_bank(text, image).features.data
+        ab = build_mixed_bank(text, image).features
         # swap the roles; feature math must not care which side is which
-        image2 = PromptBank(["a", "b"], Tensor(text.features.data), "image", "toy_image")
-        text2 = PromptBank(["a", "b"], Tensor(image.features.data), "text", "toy_text")
-        ba = build_mixed_bank(text2, image2).features.data
+        image2 = PromptBank(["a", "b"], text.features, "image")
+        text2 = PromptBank(["a", "b"], image.features, "text")
+        ba = build_mixed_bank(text2, image2).features
         np.testing.assert_array_equal(ab, ba)
 
     def test_class_list_mismatch_rejected(self):
@@ -206,11 +233,10 @@ class TestBankFile:
     def test_round_trip_bit_exact(self, tmp_path):
         bank = build_text_bank(["heron", "anvil", "comet"], 24)
         path, loaded = self.roundtrip(tmp_path, bank)
-        assert np.array_equal(loaded.features.data, bank.features.data)
+        assert np.array_equal(loaded.features, bank.features)
         assert loaded.class_names == bank.class_names
         assert loaded.modality == bank.modality
         assert loaded.seed == bank.seed
-        assert loaded.source == "file"
         # saving the loaded bank reproduces the file byte for byte
         path2 = tmp_path / "bank2.ivpb"
         save_bank(loaded, path2)
@@ -263,6 +289,6 @@ class TestBankFile:
 
 def test_reencoding_never_changes_a_bank():
     names = ["heron", "anvil"]
-    a = build_text_bank(names, 16).features.data
-    b = build_text_bank(names, 16).features.data
+    a = build_text_bank(names, 16).features
+    b = build_text_bank(names, 16).features
     assert np.array_equal(a, b)

@@ -12,7 +12,6 @@ from ivit.selection import (
     selected_bank,
     zero_shot_scores,
 )
-from ivit.tensor import Tensor
 
 
 def oracle_top_k(scores, k):
@@ -24,7 +23,7 @@ def oracle_top_k(scores, k):
 def bank_from_rows(rows, names=None):
     rows = np.asarray(rows, dtype=np.float32)
     names = names or [f"c{i}" for i in range(rows.shape[0])]
-    return PromptBank(names, Tensor(rows), "image", "toy_image", seed=1)
+    return PromptBank(names, rows, "image", seed=1)
 
 
 def random_image(seed=0, shape=(3, 8, 8)):
@@ -34,7 +33,7 @@ def random_image(seed=0, shape=(3, 8, 8)):
 class TestZeroShotScores:
     def test_own_encoding_scores_one_and_wins(self):
         img = random_image(1)
-        own = toy_image_encode(img, 24).data
+        own = toy_image_encode(img, 24)
         rng = np.random.default_rng(2)
         rows = np.vstack([rng.normal(size=(4, 24)).astype(np.float32), own])
         scores = zero_shot_scores(img, bank_from_rows(rows))
@@ -49,10 +48,10 @@ class TestZeroShotScores:
         img = random_image(5)
         bank = bank_from_rows(np.random.default_rng(6).normal(size=(7, 24)))
         scores = zero_shot_scores(img, bank)
-        f = toy_image_encode(img, 24).data.astype(np.float64)
+        f = toy_image_encode(img, 24).astype(np.float64)
         f = f / np.linalg.norm(f)
         for i in range(7):
-            row = bank.features.data[i].astype(np.float64)
+            row = bank.features[i].astype(np.float64)
             row = row / np.linalg.norm(row)
             assert scores[i] == pytest.approx(float(row @ f), abs=1e-6)
 
@@ -63,7 +62,7 @@ class TestSelect:
         sel = select(random_image(8), bank, k=2)
         assert len(sel.kept_indices) == 2
         assert sel.remainder_feature is not None
-        assert sel.n_tokens == 3
+        assert selected_bank(sel).shape[0] == 3
         # frozen data: plain arrays, not autograd tensors
         for arr in (sel.kept_features, sel.remainder_feature, sel.scores):
             assert type(arr) is np.ndarray and arr.dtype == np.float32
@@ -73,7 +72,7 @@ class TestSelect:
         sel = select(random_image(10), bank, k=3)
         assert sorted(sel.kept_indices) == [0, 1, 2]
         assert sel.remainder_feature is None
-        assert sel.n_tokens == 3
+        assert selected_bank(sel).shape[0] == 3
 
     def test_k_below_one_rejected(self):
         bank = bank_from_rows(np.zeros((3, 24)))
@@ -85,12 +84,12 @@ class TestSelect:
         bank = bank_from_rows(rng.normal(size=(6, 24)))
         sel = select(random_image(13), bank, k=2)
         excluded = [i for i in range(6) if i not in sel.kept_indices]
-        expected = bank.features.data[excluded].astype(np.float64).mean(axis=0)
+        expected = bank.features[excluded].astype(np.float64).mean(axis=0)
         np.testing.assert_allclose(sel.remainder_feature, expected, atol=1e-5)
         # equivalent formulation: remainder * (N - K) == sum of excluded rows
         np.testing.assert_allclose(
             sel.remainder_feature * len(excluded),
-            bank.features.data[excluded].sum(axis=0),
+            bank.features[excluded].sum(axis=0),
             atol=1e-5,
         )
 
@@ -131,11 +130,10 @@ class TestSelectedBank:
     def test_mini_bank_layout(self):
         bank = bank_from_rows(np.random.default_rng(18).normal(size=(6, 24)))
         sel = select(random_image(19), bank, k=2)
-        mini = selected_bank(bank, sel)
-        assert mini.n_classes == 3
-        assert mini.class_names[-1] == "(remainder)"
-        np.testing.assert_array_equal(mini.features.data[:2], sel.kept_features)
-        np.testing.assert_array_equal(mini.features.data[2], sel.remainder_feature)
+        mini = selected_bank(sel)
+        assert type(mini) is np.ndarray and mini.shape == (3, 24)
+        np.testing.assert_array_equal(mini[:2], sel.kept_features)
+        np.testing.assert_array_equal(mini[2], sel.remainder_feature)
 
     def test_remainder_excluded_from_prediction(self):
         sel = SelectionResult(

@@ -154,22 +154,22 @@ class _HalfRng:
 
 class TestMixup:
     def make_batches(self):
-        a = ds.LabeledBatch(images=Tensor(np.zeros((4, 1, 2, 2))), hard_labels=np.array([0, 1, 0, 1]),
+        a = ds.LabeledBatch(images=np.zeros((4, 1, 2, 2)), hard_labels=np.array([0, 1, 0, 1]),
                             raw_images=np.zeros((4, 1, 2, 2)))
-        b = ds.LabeledBatch(images=Tensor(np.ones((4, 1, 2, 2))), hard_labels=np.array([1, 1, 0, 0]),
+        b = ds.LabeledBatch(images=np.ones((4, 1, 2, 2)), hard_labels=np.array([1, 1, 0, 0]),
                             raw_images=np.ones((4, 1, 2, 2)))
         return a, b
 
     def test_alpha_zero_returns_first_batch(self):
         a, b = self.make_batches()
         out = mixup(a, b, 0.0, np.random.default_rng(0), n_classes=2)
-        np.testing.assert_array_equal(out.images.data, a.images.data)
+        np.testing.assert_array_equal(out.images, a.images)
         np.testing.assert_array_equal(out.soft_labels, np.eye(2)[a.hard_labels])
 
     def test_half_lambda_mixes_pixels(self):
         a, b = self.make_batches()
         out = mixup(a, b, 0.2, _HalfRng(), n_classes=2)
-        np.testing.assert_allclose(out.images.data, 0.5)
+        np.testing.assert_allclose(out.images, 0.5)
 
     def test_soft_rows_sum_to_one(self):
         a, b = self.make_batches()
@@ -327,28 +327,28 @@ class TestAttentionDropout:
         cfg = ModelConfig(image_size=8, patch_size=4, channels=3, dim=16, depth=1, heads=2,
                           mlp_ratio=2.0, prompt_dim=8, n_classes=2, attn_dropout=dropout)
         model = InstructionModel(cfg, seed=0)
-        bank = build_text_bank(["a", "b"], 8)
-        images = Tensor(np.random.default_rng(1).normal(size=(2, 3, 8, 8)).astype(np.float32))
-        return model, bank, images
+        prompts = build_text_bank(["a", "b"], 8).features
+        images = np.random.default_rng(1).normal(size=(2, 3, 8, 8)).astype(np.float32)
+        return model, prompts, images
 
     def test_training_mode_perturbs_forward(self):
-        model, bank, images = self.make(dropout=0.5)
-        base = model.forward(images, bank).logits.data
-        dropped = model.forward(images, bank, dropout_rng=np.random.default_rng(2)).logits.data
+        model, prompts, images = self.make(dropout=0.5)
+        base = model.forward(images, prompts).logits.data
+        dropped = model.forward(images, prompts, dropout_rng=np.random.default_rng(2)).logits.data
         assert not np.array_equal(base, dropped)
 
     def test_eval_mode_unaffected(self):
-        model, bank, images = self.make(dropout=0.5)
-        a = model.forward(images, bank).logits.data
-        model.forward(images, bank, dropout_rng=np.random.default_rng(2))  # leaves nothing behind
-        b = model.forward(images, bank).logits.data
+        model, prompts, images = self.make(dropout=0.5)
+        a = model.forward(images, prompts).logits.data
+        model.forward(images, prompts, dropout_rng=np.random.default_rng(2))  # leaves nothing behind
+        b = model.forward(images, prompts).logits.data
         assert np.array_equal(a, b)
 
     def test_default_zero_ignores_rng(self):
-        model, bank, images = self.make(dropout=0.0)
-        base = model.forward(images, bank).logits.data
+        model, prompts, images = self.make(dropout=0.0)
+        base = model.forward(images, prompts).logits.data
         rng = np.random.default_rng(2)
-        assert np.array_equal(model.forward(images, bank, dropout_rng=rng).logits.data, base)
+        assert np.array_equal(model.forward(images, prompts, dropout_rng=rng).logits.data, base)
         assert rng.random() == np.random.default_rng(2).random()  # no draw was taken
 
 
@@ -363,7 +363,7 @@ def test_train_and_evaluate_leave_the_model_holding_parameters_only(tmp_path):
         assert after.keys() == attrs[id(obj)].keys()
         assert all(after[k] is v for k, v in attrs[id(obj)].items())
     # no bank from those calls leaks into a later forward
-    out = model.forward(Tensor(data.val_images[:2].astype(np.float32)))
+    out = model.forward(data.val_images[:2].astype(np.float32))
     assert out.score.shape == (2, 0)
 
 
