@@ -12,7 +12,6 @@ from .dataset import LabeledBatch, SyntheticDataset, generate_synthetic, load
 from .model import ForwardOutput, InstructionModel
 from .prompts import (
     PromptBank,
-    TemplateSet,
     build_image_bank,
     build_mixed_bank,
     build_text_bank,
@@ -24,7 +23,7 @@ from .prompts import (
 )
 from .selection import SelectionResult, select, zero_shot_scores
 from .tensor import Tensor, backward
-from .trainer import EvalMetrics, EpochMetrics, FreezePolicy, evaluate, lr_at, mixup, train
+from .trainer import EvalMetrics, EpochMetrics, evaluate, lr_at, mixup, train
 
 __version__ = "0.1.0"
 
@@ -33,14 +32,12 @@ __all__ = [
     "EvalMetrics",
     "EpochMetrics",
     "ForwardOutput",
-    "FreezePolicy",
     "InstructionModel",
     "LabeledBatch",
     "ModelConfig",
     "PromptBank",
     "SelectionResult",
     "SyntheticDataset",
-    "TemplateSet",
     "Tensor",
     "TrainConfig",
     "backward",

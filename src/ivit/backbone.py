@@ -27,8 +27,8 @@ INIT_STD = 0.02
 
 
 class Linear:
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype, std: float = INIT_STD):
-        self.weight = Tensor(rng.normal(0.0, std, size=(d_in, d_out)), requires_grad=True, dtype=dtype)
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype):
+        self.weight = Tensor(rng.normal(0.0, INIT_STD, size=(d_in, d_out)), requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(d_out), requires_grad=True, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:

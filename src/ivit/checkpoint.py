@@ -24,12 +24,12 @@ import struct
 import numpy as np
 
 from ._atomic import write_atomic
+from ._binfile import Reader, pack_name
 from .config import ModelConfig, dump_model_config, parse_model_config
 from .errors import (
     BadMagicError,
     ConsistencyError,
     FormatError,
-    TruncatedFileError,
     VersionMismatchError,
 )
 from .model import InstructionModel
@@ -46,62 +46,39 @@ def save_checkpoint(path, model: InstructionModel, step: int = 0) -> None:
     params = model.parameter_dict()
     blob += struct.pack("<QI", step, len(params))
     for name, p in params.items():
-        raw = name.encode("utf-8")
         data = np.ascontiguousarray(p.data.astype("<f4"))
-        blob += struct.pack("<H", len(raw)) + raw
+        blob += pack_name(name)
         blob += struct.pack("<B", data.ndim)
         blob += struct.pack(f"<{data.ndim}I", *data.shape)
         blob += data.tobytes()
     write_atomic(path, blob)
 
 
-class _Reader:
-    def __init__(self, blob: bytes, label: str):
-        self.blob = blob
-        self.off = 0
-        self.label = label
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise TruncatedFileError(
-                f"{self.label}: needed {n} bytes at offset {self.off}, file has {len(self.blob)}"
-            )
-        out = self.blob[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int]:
     """Returns (config echo, named parameter arrays, step counter)."""
     with open(path, "rb") as f:
-        r = _Reader(f.read(), "checkpoint")
-    magic, version = r.unpack("<4sI")
+        r = Reader(f.read(), f"checkpoint {path}")
+    magic, version = r.unpack("<4sI", "header")
     if magic != CKPT_MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {CKPT_MAGIC!r}")
     if version != CKPT_VERSION:
         raise VersionMismatchError(f"checkpoint version {version} unsupported (expected {CKPT_VERSION})")
-    (echo_len,) = r.unpack("<I")
-    echo = r.take(echo_len)
+    (echo_len,) = r.unpack("<I", "config echo")
+    echo = r.take(echo_len, "config echo")
     try:
         config = parse_model_config(echo.decode("utf-8"))
     except ValueError as e:  # UnicodeDecodeError, an unparsable number or a ConfigError
         raise FormatError(f"checkpoint {path}: corrupt config echo: {e}") from e
-    step, count = r.unpack("<QI")
+    step, count = r.unpack("<QI", "step counter")
     params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"checkpoint {path}: parameter name is not UTF-8: {e}") from e
+    for i in range(count):
+        name = r.name(f"parameter name {i}")
         if name in params:
             raise FormatError(f"checkpoint {path}: parameter {name!r} is stored twice")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        data = np.frombuffer(r.take(math.prod(shape) * 4), dtype="<f4")
+        what = f"parameter {name!r}"
+        (ndim,) = r.unpack("<B", what)
+        shape = r.unpack(f"<{ndim}I", what)
+        data = np.frombuffer(r.take(math.prod(shape) * 4, what), dtype="<f4")
         try:
             arr = data.reshape(shape).copy()
         except ValueError as e:  # more axes than numpy supports
@@ -109,8 +86,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray], int]:
         if not np.isfinite(arr).all():
             raise FormatError(f"checkpoint {path}: parameter {name!r} holds non-finite values")
         params[name] = arr
-    if r.off != len(r.blob):
-        raise FormatError(f"checkpoint {path}: {len(r.blob) - r.off} trailing bytes after {count} parameters")
+    r.end(f"{count} parameters")
     return config, params, step
 
 

@@ -27,7 +27,7 @@ from .errors import ConfigError, ConsistencyError, FormatError, NonFiniteError
 from .gradcheck import ELEMENTWISE_TOL, MODEL_TOL, run_suite
 from .model import InstructionModel
 from .prompts import build_image_bank, build_mixed_bank, build_text_bank, load_bank, save_bank
-from .trainer import evaluate, train
+from .trainer import apply_freeze, evaluate, train
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -129,10 +129,7 @@ def cmd_train(args) -> int:
             f"dataset {data.meta.channels}x{data.meta.image_size}"
         )
     model = InstructionModel(model_cfg, seed=train_cfg.seed)
-
-    from .trainer import FreezePolicy, apply_freeze
-
-    _, n_train, n_total = apply_freeze(model, FreezePolicy.for_regime(train_cfg.regime))
+    _, n_train, n_total = apply_freeze(model, train_cfg.regime)
     print(f"regime={train_cfg.regime}: {n_train} trainable of {n_total} parameters")
     history = train(model, data, bank, train_cfg, out_dir=args.out)
     last = history[-1]

@@ -17,7 +17,11 @@ Directory layout:
 
 Normalization statistics (scalar mean/std over the train split) are computed
 at generation time and applied to batches at load time as (x - mean) / std.
-Batches hold plain arrays; the model wraps pixels for autograd itself.
+A `LabeledBatch` holds plain arrays: normalized pixels, hard labels and the
+raw pixels that prompt selection encodes; the model wraps pixels for autograd
+itself, and mixup's soft labels come back from `trainer.mixup` rather than
+living on the batch. Train batches are shuffled by the rng passed in, or come
+in stored order without one.
 """
 
 from __future__ import annotations
@@ -73,7 +77,6 @@ class LabeledBatch:
     images: np.ndarray                   # [B, C, H, W], normalized
     hard_labels: np.ndarray              # [B] int64
     raw_images: np.ndarray = field(repr=False, default=None)  # un-normalized pixels
-    soft_labels: np.ndarray | None = None  # [B, C], rows sum to 1
 
     def __len__(self) -> int:
         return self.hard_labels.shape[0]
@@ -98,8 +101,7 @@ def _render_split(meta_seed: int, split_tag: int, labels: np.ndarray,
 
 def generate_synthetic(out_dir, n_classes: int, n_train: int, n_val: int,
                        image_size: int, channels: int = 3, seed: int = 0,
-                       noise_std: float = NOISE_STD,
-                       class_names: list[str] | None = None) -> DatasetMeta:
+                       noise_std: float = NOISE_STD) -> DatasetMeta:
     """Write a complete dataset directory; fully deterministic per seed.
 
     Counts, size and channels must be positive and ``noise_std`` finite and
@@ -111,7 +113,6 @@ def generate_synthetic(out_dir, n_classes: int, n_train: int, n_val: int,
             raise ValueError(f"{name} must be positive, got {value}")
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    names = list(class_names) if class_names is not None else default_class_names(n_classes)
     shape = (channels, image_size, image_size)
     train_labels = (np.arange(n_train) % n_classes).astype(np.uint32)
     val_labels = (np.arange(n_val) % n_classes).astype(np.uint32)
@@ -122,7 +123,7 @@ def generate_synthetic(out_dir, n_classes: int, n_train: int, n_val: int,
         image_size=image_size, channels=channels, seed=seed,
         mean=float(train_images.mean(dtype=np.float64)),
         std=float(train_images.std(dtype=np.float64)),
-        class_names=tuple(names),
+        class_names=tuple(default_class_names(n_classes)),
     )
     SyntheticDataset(meta, train_images, train_labels, val_images, val_labels).save(out_dir)
     return meta
@@ -225,12 +226,10 @@ class SyntheticDataset:
                 raw_images=raw,
             )
 
-    def train_batches(self, batch_size: int, rng: np.random.Generator | None = None,
-                      shuffle: bool = True) -> Iterator[LabeledBatch]:
+    def train_batches(self, batch_size: int, rng: np.random.Generator | None = None) -> Iterator[LabeledBatch]:
+        """Batches shuffled by ``rng``, or in stored order without one."""
         order = np.arange(self.meta.n_train)
-        if shuffle:
-            if rng is None:
-                raise ValueError("shuffled train batches need an rng for reproducibility")
+        if rng is not None:
             rng.shuffle(order)
         return self._batches(self.train_images, self.train_labels, batch_size, order)
 

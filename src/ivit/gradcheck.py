@@ -26,19 +26,19 @@ MODEL_TOL = 1e-3
 ABS_FLOOR = 1e-6
 
 
-def numerical_grad(f: Callable[[], float], x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+def numerical_grad(f: Callable[[], float], x: np.ndarray) -> np.ndarray:
     """d f / d x by central differences, perturbing ``x`` in place."""
     g = np.zeros_like(x)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
     for i in range(flat.size):
         old = flat[i]
-        flat[i] = old + h
+        flat[i] = old + FD_STEP
         fp = f()
-        flat[i] = old - h
+        flat[i] = old - FD_STEP
         fm = f()
         flat[i] = old
-        gf[i] = (fp - fm) / (2.0 * h)
+        gf[i] = (fp - fm) / (2.0 * FD_STEP)
     return g
 
 
@@ -53,7 +53,7 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def check_gradients(build_loss: Callable[[], Tensor], inputs: Iterable[Tensor], h: float = FD_STEP) -> float:
+def check_gradients(build_loss: Callable[[], Tensor], inputs: Iterable[Tensor]) -> float:
     """Worst relative error over ``inputs`` between backward() and finite differences.
 
     ``build_loss`` must construct the graph afresh from the input tensors'
@@ -67,7 +67,7 @@ def check_gradients(build_loss: Callable[[], Tensor], inputs: Iterable[Tensor], 
     worst = 0.0
     for t in inputs:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        numeric = numerical_grad(lambda: build_loss().item(), t.data, h=h)
+        numeric = numerical_grad(lambda: build_loss().item(), t.data)
         worst = max(worst, rel_error(analytic, numeric))
     return worst
 

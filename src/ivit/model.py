@@ -136,13 +136,10 @@ class InstructionModel:
         return T.cross_entropy(score, self._soft_target(target, p))
 
     def combine_losses(self, pred: Tensor, score: Tensor | None) -> Tensor:
-        """Apply the configured loss weights (1:1 stays a plain sum)."""
+        """``loss_pred_weight * pred + loss_score_weight * score``; no score term when ``score`` is None."""
         cfg = self.config
-        if score is None:
-            return T.scale(pred, cfg.loss_pred_weight) if cfg.loss_pred_weight != 1.0 else pred
-        if cfg.loss_pred_weight == 1.0 and cfg.loss_score_weight == 1.0:
-            return T.add(pred, score)
-        return T.add(T.scale(pred, cfg.loss_pred_weight), T.scale(score, cfg.loss_score_weight))
+        loss = T.scale(pred, cfg.loss_pred_weight)
+        return loss if score is None else T.add(loss, T.scale(score, cfg.loss_score_weight))
 
     def total_loss(self, out: ForwardOutput, target) -> tuple[Tensor, float, float]:
         """Weighted sum of both losses, plus the unweighted ``loss_pred`` and ``loss_score`` values.

@@ -1,7 +1,7 @@
 """Frozen per-class prompt features.
 
-Three modalities: text (30 sentence templates per class, encoded and
-averaged), image (one seeded training image per class), and mixed (the
+Three modalities: text (the 30 sentence templates of `DEFAULT_TEMPLATES`
+per class, encoded and averaged), image (one seeded training image per class), and mixed (the
 elementwise mean of the two). The encoders here are deterministic toy
 stand-ins for a real frozen text/image encoder pair; externally computed
 features can be carried through the same bank file format instead.
@@ -21,8 +21,11 @@ Bank file layout (little-endian throughout):
     features N * D_p float32, row-major
     names   N entries of (u16 length + UTF-8 bytes)
 
-Every feature must be finite and nothing may follow the name table; a file
-that breaks either is a format error.
+Every feature must be finite, D_p positive, and nothing may follow the name
+table; a file that breaks any of these is a format error. The bytes are read
+through `_binfile.Reader`, which the checkpoint format shares. A bank's seed
+must fit the u64 field, so one outside [0, 2**64) is rejected when the bank
+is built, before anything is written.
 """
 
 from __future__ import annotations
@@ -35,12 +38,12 @@ import numpy as np
 
 from . import tensor as T
 from ._atomic import write_atomic
+from ._binfile import Reader, pack_name
 from .errors import (
     BadMagicError,
     ConsistencyError,
     FormatError,
     ShapeError,
-    TruncatedFileError,
     VersionMismatchError,
 )
 BANK_MAGIC = b"IVPB"
@@ -90,19 +93,6 @@ DEFAULT_TEMPLATES = (
 )
 
 
-@dataclass(frozen=True)
-class TemplateSet:
-    templates: tuple[str, ...] = DEFAULT_TEMPLATES
-
-    def __post_init__(self):
-        object.__setattr__(self, "templates", tuple(self.templates))
-        if len(self.templates) != 30:
-            raise ValueError(f"a template set holds exactly 30 templates, got {len(self.templates)}")
-        for t in self.templates:
-            if t.count("{}") != 1:
-                raise ValueError(f"template {t!r} must contain exactly one {{}} slot")
-
-
 @dataclass
 class PromptBank:
     """Per-class prompt feature table. Frozen data, never a parameter."""
@@ -115,6 +105,8 @@ class PromptBank:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
+        if not 0 <= self.seed < 2**64:  # the file stores it as a u64
+            raise ValueError(f"bank seed must lie in [0, 2**64), got {self.seed}")
         feats = np.asarray(self.features)
         if feats.dtype not in (np.float32, np.float64):
             feats = feats.astype(np.float32)
@@ -137,11 +129,11 @@ class PromptBank:
         return self.features.shape[1]
 
 
-def render_templates(class_name: str, templates: TemplateSet = TemplateSet()) -> list[str]:
-    """Instantiate every template with the class name."""
+def render_templates(class_name: str) -> list[str]:
+    """Instantiate every template of `DEFAULT_TEMPLATES` with the class name."""
     if not class_name:
         raise ValueError("class name must be non-empty")
-    return [t.format(class_name) for t in templates.templates]
+    return [t.format(class_name) for t in DEFAULT_TEMPLATES]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -203,14 +195,14 @@ def _check_width(dim: int) -> None:
         raise ValueError(f"prompt feature width must be >= 1, got {dim}")
 
 
-def build_text_bank(class_names: list[str], dim: int, templates: TemplateSet = TemplateSet()) -> PromptBank:
+def build_text_bank(class_names: list[str], dim: int) -> PromptBank:
     """Encode all 30 rendered sentences per class and average; rows are re-normalized."""
     if not class_names:
         raise ValueError("need at least one class")
     _check_width(dim)
     rows = np.empty((len(class_names), dim), dtype=np.float32)
     for i, name in enumerate(class_names):
-        encoded = np.stack([toy_text_encode(s, dim) for s in render_templates(name, templates)])
+        encoded = np.stack([toy_text_encode(s, dim) for s in render_templates(name)])
         rows[i] = _unit(encoded.mean(axis=0).astype(np.float64)).astype(np.float32)
     return PromptBank(list(class_names), rows, "text")
 
@@ -254,62 +246,37 @@ def build_mixed_bank(text: PromptBank, image: PromptBank) -> PromptBank:
 # bank file format
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sIBIIQ")
+_HEADER = "<4sIBIIQ"
 
 
 def save_bank(bank: PromptBank, path) -> None:
-    feats = np.ascontiguousarray(bank.features.astype("<f4"))
-    blob = bytearray()
-    blob += _HEADER.pack(
-        BANK_MAGIC, BANK_VERSION, _MODALITY_CODE[bank.modality],
+    blob = bytearray(struct.pack(
+        _HEADER, BANK_MAGIC, BANK_VERSION, _MODALITY_CODE[bank.modality],
         bank.n_classes, bank.dim, bank.seed,
-    )
-    blob += feats.tobytes()
+    ))
+    blob += np.ascontiguousarray(bank.features.astype("<f4")).tobytes()
     for name in bank.class_names:
-        raw = name.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise ValueError(f"class name too long to serialize: {name[:32]!r}...")
-        blob += struct.pack("<H", len(raw)) + raw
+        blob += pack_name(name)
     write_atomic(path, blob)
 
 
 def load_bank(path) -> PromptBank:
+    """Read a bank file; any fault in it, a feature width of 0 included, is a `FormatError`."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _HEADER.size:
-        raise TruncatedFileError(f"bank file is only {len(blob)} bytes, header needs {_HEADER.size}")
-    magic, version, mod_code, n, dim, seed = _HEADER.unpack_from(blob, 0)
+        r = Reader(f.read(), f"bank {path}")
+    magic, version, mod_code, n, dim, seed = r.unpack(_HEADER, "header")
     if magic != BANK_MAGIC:
         raise BadMagicError(f"bad magic {magic!r}, expected {BANK_MAGIC!r}")
     if version != BANK_VERSION:
         raise VersionMismatchError(f"bank version {version} unsupported (expected {BANK_VERSION})")
     if mod_code not in _MODALITY_NAME:
         raise FormatError(f"unknown modality code {mod_code}")
-    off = _HEADER.size
-    feat_bytes = n * dim * 4
-    if len(blob) < off + feat_bytes:
-        raise TruncatedFileError(
-            f"truncated features: expected {feat_bytes} bytes, got {len(blob) - off}"
-        )
-    feats = np.frombuffer(blob, dtype="<f4", count=n * dim, offset=off).reshape(n, dim).copy()
+    feats = np.frombuffer(r.take(n * dim * 4, "features"), dtype="<f4").reshape(n, dim).copy()
     if not np.isfinite(feats).all():
         raise FormatError("bank features hold non-finite values")
-    off += feat_bytes
-    names: list[str] = []
-    for _ in range(n):
-        if len(blob) < off + 2:
-            raise TruncatedFileError(f"truncated name table after {len(names)} of {n} names")
-        (ln,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        if len(blob) < off + ln:
-            raise TruncatedFileError(f"truncated name table after {len(names)} of {n} names")
-        try:
-            names.append(blob[off : off + ln].decode("utf-8"))
-        except UnicodeDecodeError as e:
-            raise FormatError(f"name {len(names)} of the name table is not UTF-8: {e}") from e
-        off += ln
-    if off != len(blob):
-        raise FormatError(
-            f"name table row count disagrees with feature rows: {len(blob) - off} trailing bytes after {n} names"
-        )
-    return PromptBank(names, feats, _MODALITY_NAME[mod_code], seed=seed)
+    names = [r.name(f"name {i} of the name table") for i in range(n)]
+    r.end(f"the name table ({n} names)")
+    try:
+        return PromptBank(names, feats, _MODALITY_NAME[mod_code], seed=seed)
+    except ValueError as e:
+        raise FormatError(f"bank {path}: {e}") from e

@@ -56,6 +56,9 @@ CHUNK = 1 << 17
 #: added to L2 denominators so zero slices normalize to zero instead of NaN
 NORM_EPS = 1e-12
 
+#: added to the variance inside layer_norm's square root
+LN_EPS = 1e-5
+
 #: how far a cross-entropy target row sum may stray from 1: the threshold of
 #: ``np.allclose(row_sums, 1.0, atol=1e-3)``, i.e. atol + rtol * |1| with
 #: numpy's default rtol
@@ -540,11 +543,11 @@ def gelu(x: Tensor) -> Tensor:
     return _result(y, (x,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply per-feature gain and bias.
 
     Forward and backward write in place on their own fresh arrays, bit-identical
-    to ``xhat = (x - mu) / sqrt(var + eps); xhat * gain + bias`` op by op.
+    to ``xhat = (x - mu) / sqrt(var + LN_EPS); xhat * gain + bias`` op by op.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -554,7 +557,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = x.data - mu
     sq = xhat * xhat
     var = np.add.reduce(sq, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     if sq.dtype == gain.data.dtype == bias.data.dtype:
         out = np.multiply(xhat, gain.data, out=sq)

@@ -5,7 +5,12 @@ rises from 0 to the peak over the warmup epochs, the cosine then lands
 exactly on the floor at the last step), per-batch mixup, and two tuning
 regimes: `full` trains everything, `prompt_tuning` trains only the
 classification head and the prompt projection while the backbone stays
-bit-frozen. Prompt-bank features are data, never parameters, in both.
+bit-frozen. `TRAINABLE` maps each regime to the parameter-name prefixes the
+optimizer updates. Prompt-bank features are data, never parameters, in both.
+
+Mixup blends each batch with a permutation of itself: the training rng draws
+the permutation, then lambda from Beta(alpha, alpha), and `mixup` returns the
+blended images with their soft labels. It runs only when ``mixup_alpha > 0``.
 
 Per-epoch metrics (losses averaged over the training batches, top-1
 accuracies from an evaluation pass over the train split) go to a CSV with
@@ -35,22 +40,8 @@ from .tensor import Tensor
 METRICS_HEADER = "epoch,loss_pred,loss_score,loss_total,head_top1,score_top1,lr"
 
 
-@dataclass(frozen=True)
-class FreezePolicy:
-    """Which parameter-name prefixes the optimizer may update."""
-
-    trainable_prefixes: frozenset[str]
-
-    @classmethod
-    def for_regime(cls, regime: str) -> "FreezePolicy":
-        if regime == "prompt_tuning":
-            return cls(frozenset({"head", "prompt_embed"}))
-        if regime == "full":
-            return cls(frozenset({""}))
-        raise ValueError(f"unknown regime {regime!r}")
-
-    def is_trainable(self, name: str) -> bool:
-        return any(name.startswith(p) for p in self.trainable_prefixes)
+# parameter-name prefixes the optimizer updates, per regime
+TRAINABLE = {"full": ("",), "prompt_tuning": ("head", "prompt_embed")}
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -103,37 +94,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         p.data -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).astype(p.data.dtype, copy=False)
 
 
-def mixup(batch_a: LabeledBatch, batch_b: LabeledBatch, alpha: float,
-          rng: np.random.Generator, n_classes: int) -> LabeledBatch:
-    """Convex combination of two batches with one Beta(alpha, alpha) draw.
+def mixup(batch: LabeledBatch, alpha: float, rng: np.random.Generator,
+          n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blend the batch with a permutation of itself by one Beta(alpha, alpha) draw.
 
-    alpha == 0 short-circuits to batch_a with one-hot soft labels.
+    Draws the permutation, then lambda; returns the blended images and their
+    soft labels, ``lam * one_hot(labels) + (1 - lam) * one_hot(labels[perm])``.
     """
-    if batch_a.images.shape != batch_b.images.shape:
-        raise ShapeError(f"mixup: batch shapes differ: {batch_a.images.shape} vs {batch_b.images.shape}")
-    lam = 1.0 if alpha == 0 else float(rng.beta(alpha, alpha))
-    ya = one_hot(batch_a.hard_labels, n_classes)
-    if lam == 1.0:
-        return LabeledBatch(
-            images=batch_a.images, hard_labels=batch_a.hard_labels,
-            raw_images=batch_a.raw_images, soft_labels=ya,
-        )
-    images = lam * batch_a.images + (1.0 - lam) * batch_b.images
-    soft = lam * ya + (1.0 - lam) * one_hot(batch_b.hard_labels, n_classes)
-    return LabeledBatch(
-        images=images.astype(np.float32),
-        hard_labels=batch_a.hard_labels,
-        raw_images=batch_a.raw_images,
-        soft_labels=soft,
-    )
-
-
-def _permuted(batch: LabeledBatch, perm: np.ndarray) -> LabeledBatch:
-    return LabeledBatch(
-        images=batch.images[perm],
-        hard_labels=batch.hard_labels[perm],
-        raw_images=batch.raw_images[perm] if batch.raw_images is not None else None,
-    )
+    perm = rng.permutation(len(batch))
+    lam = float(rng.beta(alpha, alpha))
+    images = lam * batch.images + (1.0 - lam) * batch.images[perm]
+    labels = batch.hard_labels
+    soft = lam * one_hot(labels, n_classes) + (1.0 - lam) * one_hot(labels[perm], n_classes)
+    return images.astype(np.float32), soft
 
 
 @dataclass
@@ -208,14 +181,14 @@ def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch, bank: Pro
     return loss, pred.item(), score.item() if score is not None else 0.0
 
 
-def apply_freeze(model: InstructionModel, policy: FreezePolicy) -> tuple[dict[str, Tensor], int, int]:
-    """Mark frozen parameters as non-differentiable; returns (trainable, n_train, n_total)."""
+def apply_freeze(model: InstructionModel, regime: str) -> tuple[dict[str, Tensor], int, int]:
+    """Mark the parameters ``regime`` freezes as non-differentiable; returns (trainable, n_train, n_total)."""
     trainable: dict[str, Tensor] = {}
     n_total = 0
     n_train = 0
     for name, p in model.named_parameters():
         n_total += p.size
-        if policy.is_trainable(name):
+        if name.startswith(TRAINABLE[regime]):
             p.requires_grad = True
             trainable[name] = p
             n_train += p.size
@@ -243,14 +216,11 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
         raise ConsistencyError(
             f"dataset classes {dataset.class_names[:4]}... do not match bank classes {bank.class_names[:4]}..."
         )
-    if dataset.meta.n_train == 0:
-        raise ConsistencyError("training split is empty")
     _eval_workers()  # a bad IVIT_THREADS fails here, not at the first epoch's eval
 
     from .checkpoint import save_checkpoint  # deferred: checkpoint imports config
 
-    policy = FreezePolicy.for_regime(cfg.regime)
-    trainable, _, _ = apply_freeze(model, policy)
+    trainable, _, _ = apply_freeze(model, cfg.regime)
     state = AdamState()
     rng = np.random.default_rng([cfg.seed, 0x7EA1])
 
@@ -275,18 +245,16 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
         lr = 0.0
         for batch in dataset.train_batches(cfg.batch_size, rng=rng):
             global_step += 1
-            target = batch.hard_labels
+            images, target = batch.images, batch.hard_labels
             if cfg.mixup_alpha > 0:
-                perm = rng.permutation(len(batch))
-                batch = mixup(batch, _permuted(batch, perm), cfg.mixup_alpha, rng, dataset.n_classes)
-                target = batch.soft_labels
+                images, target = mixup(batch, cfg.mixup_alpha, rng, dataset.n_classes)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     if select_training:
                         loss, pred_val, score_val = _selected_batch_loss(
                             model, batch, bank, model.config.select_k, dropout_rng)
                     else:
-                        out = model.forward(batch.images, bank.features, dropout_rng)
+                        out = model.forward(images, bank.features, dropout_rng)
                         loss, pred_val, score_val = model.total_loss(out, target)
                     total = loss.item()
                     if not math.isfinite(total):
@@ -384,7 +352,7 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     if dataset.class_names != bank.class_names:
         raise ConsistencyError("dataset and bank class lists differ")
     if split == "train":
-        batches = list(dataset.train_batches(batch_size, shuffle=False))
+        batches = list(dataset.train_batches(batch_size))
     elif split == "val":
         batches = list(dataset.val_batches(batch_size))
     else:

@@ -41,7 +41,7 @@ from ivit.prompts import (
 )
 from ivit.selection import rank_descending, select, selected_bank
 from ivit.tensor import Tensor
-from ivit.trainer import FreezePolicy, TrainConfig as TC, evaluate, lr_at, train
+from ivit.trainer import TrainConfig as TC, evaluate, lr_at, train
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:

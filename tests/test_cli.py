@@ -142,6 +142,14 @@ class TestBuildBank:
         assert err == "error: prompt feature width must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("modality", ["image", "mixed"])
+    def test_seed_outside_u64_is_argument_error(self, tmp_path, data_dir, capsys, modality):
+        out = tmp_path / "x.ivpb"
+        code, _, err = run(capsys, "build-bank", "--data", str(data_dir), "--modality", modality,
+                           "--dim", "16", "--seed", str(2**64), "--out", str(out))
+        assert (code, err) == (2, f"error: bank seed must lie in [0, 2**64), got {2**64}\n")
+        assert not out.exists()
+
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "build-bank", "--data", str(tmp_path / "nope"),
                          "--modality", "text", "--dim", "16", "--out", str(tmp_path / "x.ivpb"))
@@ -202,6 +210,19 @@ def test_bank_name_table_not_utf8_exits_3(tmp_path, data_dir, bank_path, capsys)
                          "--checkpoint", str(untrained_checkpoint(tmp_path / "m.ckpt")))
     assert (code, out) == (3, "")
     assert err.startswith("error: name 3 of the name table is not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_bank_of_zero_feature_width_exits_3(tmp_path, data_dir, bank_path, capsys, command):
+    blob = bank_path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 9)
+    # D_p = 0 and no feature rows, the name table kept
+    bank_path.write_bytes(blob[:13] + struct.pack("<I", 0) + blob[17:25] + blob[25 + n * 16 * 4:])
+    args = (["--config", str(fast_config(tmp_path)), "--out", str(tmp_path / "run")] if command == "train"
+            else ["--checkpoint", str(untrained_checkpoint(tmp_path / "m.ckpt"))])
+    code, out, err = run(capsys, command, "--data", str(data_dir), "--bank", str(bank_path), *args)
+    assert (code, out) == (3, "")
+    assert err == f"error: bank {bank_path}: prompt feature width must be positive\n"
 
 
 def test_bank_non_finite_feature_exits_3(tmp_path, data_dir, bank_path, capsys):

@@ -2,9 +2,10 @@
 
 Each file is cut short at a random length or has one to three random bytes
 flipped; loading the result must either succeed or raise a `FormatError`
-subclass (exit 3 at the CLI). The artifacts are built as small as the formats
-allow, so most of their bytes are headers, lengths and names rather than
-float payload.
+subclass (exit 3 at the CLI); every strict prefix of a bank or a checkpoint,
+tried exhaustively, is a `TruncatedFileError`. The artifacts are built as
+small as the formats allow, so most of their bytes are headers, lengths and
+names rather than float payload.
 """
 
 import os
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from ivit import dataset as ds
 from ivit.checkpoint import load_checkpoint, save_checkpoint
 from ivit.config import ModelConfig
-from ivit.errors import FormatError
+from ivit.errors import FormatError, TruncatedFileError
 from ivit.model import InstructionModel
 from ivit.prompts import build_text_bank, load_bank, save_bank
 
@@ -80,6 +81,16 @@ def test_damaged_checkpoint_or_bank(artifacts, kind, load):
             loads_or_format_error(load, path, blob)
 
         check()
+
+
+@pytest.mark.parametrize("kind,load", [("checkpoint", load_checkpoint), ("bank", load_bank)])
+def test_every_strict_prefix_is_truncated(artifacts, kind, load, tmp_path):
+    blob = artifacts[kind]
+    path = tmp_path / kind
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(TruncatedFileError):
+            load(path)
 
 
 @pytest.mark.parametrize("name", ["meta.txt", "train_images.bin", "train_labels.bin",

@@ -3,7 +3,8 @@
 Pixels and prompt rows are frozen data: they stay numpy arrays until a
 parameter first touches them inside the model. So the model needs nothing
 from the prompt module, and the modules that produce frozen data never name
-the autograd `Tensor`.
+the autograd `Tensor`. The bank and checkpoint formats read their bytes only
+through the shared `_binfile.Reader`, so neither grows its own offset logic.
 """
 
 import ast
@@ -51,6 +52,19 @@ def names_tensor(tree: ast.Module) -> bool:
     return False
 
 
+def unpacks_bytes(tree: ast.Module) -> bool:
+    """True if the file calls ``struct.unpack`` / ``unpack_from`` / ``iter_unpack`` or imports one."""
+    names = {"unpack", "unpack_from", "iter_unpack"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "struct" and any(a.name in names for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            on_struct = isinstance(node.value, ast.Name) and node.value.id == "struct"
+            if on_struct or node.attr != "unpack":  # ``Reader.unpack`` is the shared reader's
+                return True
+    return False
+
+
 def test_model_imports_nothing_from_prompts():
     assert not imports_module(parse("model"), "prompts")
 
@@ -58,3 +72,8 @@ def test_model_imports_nothing_from_prompts():
 @pytest.mark.parametrize("module", ["prompts", "selection", "dataset"])
 def test_frozen_data_modules_do_not_import_tensor(module):
     assert not names_tensor(parse(module))
+
+
+@pytest.mark.parametrize("module", ["checkpoint", "prompts"])
+def test_file_formats_read_only_through_the_shared_reader(module):
+    assert not unpacks_bytes(parse(module))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ivit import prompts
 from ivit.errors import (
     BadMagicError,
     ConsistencyError,
@@ -14,7 +15,6 @@ from ivit.errors import (
 from ivit.prompts import (
     DEFAULT_TEMPLATES,
     PromptBank,
-    TemplateSet,
     build_image_bank,
     build_mixed_bank,
     build_text_bank,
@@ -54,7 +54,7 @@ class TestTemplates:
         assert all(t.count("{}") == 1 for t in DEFAULT_TEMPLATES)
 
     def test_render_fills_slot(self):
-        out = render_templates("dog", TemplateSet(("a photo of a {}.",) + DEFAULT_TEMPLATES[1:]))
+        out = render_templates("dog")
         assert out[0] == "a photo of a dog."
         assert len(out) == 30
 
@@ -65,14 +65,6 @@ class TestTemplates:
         with pytest.raises(ValueError):
             render_templates("")
 
-    def test_wrong_template_count_rejected(self):
-        with pytest.raises(ValueError, match="30"):
-            TemplateSet(("a {}",))
-
-    def test_template_without_slot_rejected(self):
-        bad = ("no slot here",) + DEFAULT_TEMPLATES[1:]
-        with pytest.raises(ValueError, match="slot"):
-            TemplateSet(bad)
 
 
 class TestToyTextEncoder:
@@ -117,17 +109,17 @@ class TestTextBank:
         assert bank.features.shape == (3, 32)
         assert bank.modality == "text"
 
-    def test_mean_of_identical_vectors_is_that_vector(self):
+    def test_mean_of_identical_vectors_is_that_vector(self, monkeypatch):
         # all templates render to the same string -> all 30 features identical
-        same = TemplateSet(("same text {}",) * 30)
-        bank = build_text_bank(["dog"], 64, templates=same)
+        monkeypatch.setattr(prompts, "DEFAULT_TEMPLATES", ("same text {}",) * 30)
+        bank = build_text_bank(["dog"], 64)
         single = toy_text_encode("same text dog", 64)
         np.testing.assert_allclose(bank.features[0], single, atol=1e-7)
 
-    def test_template_order_irrelevant(self):
-        shuffled = tuple(reversed(DEFAULT_TEMPLATES))
+    def test_template_order_irrelevant(self, monkeypatch):
         a = build_text_bank(["fox"], 32)
-        b = build_text_bank(["fox"], 32, templates=TemplateSet(shuffled))
+        monkeypatch.setattr(prompts, "DEFAULT_TEMPLATES", tuple(reversed(DEFAULT_TEMPLATES)))
+        b = build_text_bank(["fox"], 32)
         np.testing.assert_allclose(a.features, b.features, atol=1e-6)
 
     def test_empty_class_list_rejected(self):
@@ -188,6 +180,11 @@ class TestPromptBank:
     def test_bad_shape_raises_shape_error(self, rows):
         with pytest.raises(ShapeError):
             PromptBank(["a", "b"], rows, "text")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            PromptBank(["a"], [[1.0]], "image", seed=seed)
 
 
 class TestMixedBank:

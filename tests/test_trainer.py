@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ivit import _blas
 from ivit import dataset as ds
 from ivit import trainer as trainer_mod
-from ivit.config import ModelConfig, TrainConfig
+from ivit.config import REGIMES, ModelConfig, TrainConfig
 from ivit.errors import ConfigError, ConsistencyError, NonFiniteError
 from ivit.model import InstructionModel
 from ivit.prompts import build_text_bank
@@ -23,8 +23,8 @@ from ivit.tensor import Tensor
 from ivit.trainer import (
     AdamState,
     EpochMetrics,
-    FreezePolicy,
     METRICS_HEADER,
+    TRAINABLE,
     adam_step,
     apply_freeze,
     evaluate,
@@ -148,43 +148,45 @@ class TestAdam:
 
 
 class _HalfRng:
+    """Reverses the batch and draws lambda = 0.5."""
+
+    def permutation(self, n):
+        return np.arange(n)[::-1]
+
     def beta(self, a, b):
         return 0.5
 
 
 class TestMixup:
-    def make_batches(self):
-        a = ds.LabeledBatch(images=np.zeros((4, 1, 2, 2)), hard_labels=np.array([0, 1, 0, 1]),
-                            raw_images=np.zeros((4, 1, 2, 2)))
-        b = ds.LabeledBatch(images=np.ones((4, 1, 2, 2)), hard_labels=np.array([1, 1, 0, 0]),
-                            raw_images=np.ones((4, 1, 2, 2)))
-        return a, b
-
-    def test_alpha_zero_returns_first_batch(self):
-        a, b = self.make_batches()
-        out = mixup(a, b, 0.0, np.random.default_rng(0), n_classes=2)
-        np.testing.assert_array_equal(out.images, a.images)
-        np.testing.assert_array_equal(out.soft_labels, np.eye(2)[a.hard_labels])
+    def make_batch(self):
+        images = np.arange(4.0).reshape(4, 1, 1, 1) * np.ones((4, 1, 2, 2))
+        return ds.LabeledBatch(images=images, hard_labels=np.array([0, 1, 1, 1]), raw_images=images)
 
     def test_half_lambda_mixes_pixels(self):
-        a, b = self.make_batches()
-        out = mixup(a, b, 0.2, _HalfRng(), n_classes=2)
-        np.testing.assert_allclose(out.images, 0.5)
+        images, _ = mixup(self.make_batch(), 0.2, _HalfRng(), n_classes=2)
+        np.testing.assert_allclose(images, 1.5)  # each image averaged with its mirror: (i + 3 - i) / 2
 
     def test_soft_rows_sum_to_one(self):
-        a, b = self.make_batches()
         rng = np.random.default_rng(3)
         for _ in range(10):
-            out = mixup(a, b, 0.4, rng, n_classes=2)
-            np.testing.assert_allclose(out.soft_labels.sum(axis=1), 1.0, atol=1e-6)
+            _, soft = mixup(self.make_batch(), 0.4, rng, n_classes=2)
+            np.testing.assert_allclose(soft.sum(axis=1), 1.0, atol=1e-6)
 
     def test_retains_both_label_sets_and_lambda(self):
-        a, b = self.make_batches()
-        out = mixup(a, b, 0.2, _HalfRng(), n_classes=2)
-        np.testing.assert_array_equal(out.hard_labels, a.hard_labels)
+        batch = self.make_batch()
+        _, soft = mixup(batch, 0.2, _HalfRng(), n_classes=2)
         # the partner labels and lambda live in the soft labels
-        np.testing.assert_array_equal(out.soft_labels,
-                                      0.5 * np.eye(2)[a.hard_labels] + 0.5 * np.eye(2)[b.hard_labels])
+        np.testing.assert_array_equal(soft, 0.5 * np.eye(2)[batch.hard_labels]
+                                      + 0.5 * np.eye(2)[batch.hard_labels[::-1]])
+
+    def test_draws_the_permutation_then_lambda(self):
+        batch = self.make_batch()
+        rng = np.random.default_rng(7)
+        perm = rng.permutation(4)
+        lam = rng.beta(0.4, 0.4)
+        images, _ = mixup(batch, 0.4, np.random.default_rng(7), n_classes=2)
+        np.testing.assert_array_equal(images, (lam * batch.images + (1.0 - lam) * batch.images[perm])
+                                      .astype(np.float32))
 
 
 def checksums(model, prefix):
@@ -196,10 +198,14 @@ def checksums(model, prefix):
 
 
 class TestRegimes:
-    def test_policy_sets(self):
-        assert FreezePolicy.for_regime("prompt_tuning").trainable_prefixes == {"head", "prompt_embed"}
-        full = FreezePolicy.for_regime("full")
-        assert full.is_trainable("backbone.blocks.0.attn.wq.weight")
+    def test_trainable_sets(self, tmp_path):
+        model, _, _ = tiny_setup(tmp_path)
+        names = [name for name, _ in model.named_parameters()]
+        trainable, _, _ = apply_freeze(model, "prompt_tuning")
+        assert sorted(trainable) == sorted(n for n in names if n.split(".")[0] in ("head", "prompt_embed"))
+        trainable, _, _ = apply_freeze(model, "full")
+        assert list(trainable) == names
+        assert set(TRAINABLE) == set(REGIMES)
 
     def test_prompt_tuning_freezes_backbone_bitwise(self, tmp_path):
         model, data, bank = tiny_setup(tmp_path)
@@ -222,7 +228,7 @@ class TestRegimes:
 
     def test_trainable_count_much_smaller_under_prompt_tuning(self, tmp_path):
         model, _, _ = tiny_setup(tmp_path)
-        _, n_train, n_total = apply_freeze(model, FreezePolicy.for_regime("prompt_tuning"))
+        _, n_train, n_total = apply_freeze(model, "prompt_tuning")
         assert n_train < n_total / 4
 
 
