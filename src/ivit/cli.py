@@ -26,7 +26,8 @@ from .config import parse_run_config, run_config_defaults, split_run_config
 from .errors import ConfigError, ConsistencyError, FormatError, NonFiniteError
 from .gradcheck import ELEMENTWISE_TOL, MODEL_TOL, run_suite
 from .model import InstructionModel
-from .prompts import build_image_bank, build_mixed_bank, build_text_bank, load_bank, save_bank
+from .prompts import (build_image_bank, build_mixed_bank, build_text_bank, check_bank_seed, load_bank,
+                      save_bank)
 from .trainer import apply_freeze, evaluate, train
 
 EXIT_OK = 0
@@ -81,7 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int) -> None:
+    """numpy seeds its generators from non-negative integers only."""
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_gen_data(args) -> int:
+    _check_seed(args.seed)
     meta = ds.generate_synthetic(
         args.out, n_classes=args.classes, n_train=args.train, n_val=args.val,
         image_size=args.size, channels=args.channels, seed=args.seed,
@@ -100,6 +108,7 @@ def cmd_build_bank(args) -> int:
     if args.modality not in ("text", "image", "mixed"):
         print(f"build-bank: unknown modality {args.modality!r}", file=sys.stderr)
         return EXIT_ARGS
+    check_bank_seed(args.seed)  # every modality, though only image rows use it
     data = ds.load(args.data)
     if args.modality == "text":
         bank = build_text_bank(data.class_names, args.dim)
@@ -155,6 +164,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_seed(args.seed)
     errors, ok = run_suite(seed=args.seed)
     failing = []
     for name, err in errors.items():

@@ -93,6 +93,14 @@ DEFAULT_TEMPLATES = (
 )
 
 
+def check_bank_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an integer the file's u64 field holds."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"bank seed must be an integer, got {seed!r}")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"bank seed must lie in [0, 2**64), got {seed}")
+
+
 @dataclass
 class PromptBank:
     """Per-class prompt feature table. Frozen data, never a parameter."""
@@ -105,8 +113,7 @@ class PromptBank:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        if not 0 <= self.seed < 2**64:  # the file stores it as a u64
-            raise ValueError(f"bank seed must lie in [0, 2**64), got {self.seed}")
+        check_bank_seed(self.seed)
         feats = np.asarray(self.features)
         if feats.dtype not in (np.float32, np.float64):
             feats = feats.astype(np.float32)

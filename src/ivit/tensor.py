@@ -11,6 +11,16 @@ As in PyTorch, `backward` stores gradients on leaves only (tensors no op
 produced, such as parameters and inputs); an intermediate result's gradient
 is freed once it has been passed back to the op's operands.
 
+The graph is made of nodes, not tensors. An op whose operands need no
+gradient records nothing; otherwise its result gets a node, the list
+``[closure, handle, ...]``: the backward closure, then one handle per operand
+(the operand's own node, the operand itself if it is a leaf that requires
+grad, or ``None``), so which operands get a gradient is fixed when the op
+runs. A node never holds a tensor's data; a closure keeps only
+the arrays its backward reads, so an intermediate array that no closure
+captures (pre-softmax scores, a residual sum, a projection's output) is freed
+as soon as the forward drops its last name for it.
+
 Training runs in float32; the gradient-check suite builds the same graph in
 float64 (creation functions take ``dtype``, ops preserve it: constants are
 Python floats, never numpy float64 scalars, which would promote a float32
@@ -74,9 +84,14 @@ class Tensor:
     immutable after construction except for gradient accumulation
     (optimizers mutate parameter ``data`` in place *between* graph
     constructions, never inside one).
+
+    ``_node`` is the graph node of a result that needs a gradient (see the
+    module docstring), else ``None``. The graph reaches the node, never the
+    tensor, so ``data`` lives only while a name or a backward closure holds
+    it. ``_backward`` reads and replaces the node's closure.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -85,8 +100,16 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: list | None = None
+
+    @property
+    def _backward(self):
+        node = self._node
+        return None if node is None else node[0]
+
+    @_backward.setter
+    def _backward(self, closure) -> None:
+        self._node[0] = closure
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -119,62 +142,73 @@ class Tensor:
         )
 
 
+_new = Tensor.__new__  # looked up once, not on every op
+
+
 def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Wrap an op result; only records the graph edge if some parent needs it."""
-    out = Tensor.__new__(Tensor)
+    """Wrap an op result; only records a graph node if some parent needs it."""
+    out = _new(Tensor)
     out.data = data
     out.grad = None
-    for p in parents:  # an explicit loop: `any()` over a generator costs more than the op
+    # explicit loops: `any()` over a generator, or a list comprehension, costs more
+    for p in parents:
         if p.requires_grad:
+            node = [backward]
+            for q in parents:
+                node.append(q._node or (q if q.requires_grad else None))
             out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+            out._node = node
             return out
     out.requires_grad = False
-    out._parents = ()
-    out._backward = None
+    out._node = None
     return out
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf that requires grad.
 
-    Gradients flow through a scratch table; each entry is dropped as soon as
-    its node has passed it back, so an intermediate gradient lives only until
-    its op's backward has run. A leaf's first gradient is copied, because an
-    op may hand one array to several operands (``add``) and gradient clipping
-    scales grads in place. Calling backward() twice without zeroing grads adds
-    exactly one more copy of each gradient.
+    Walks the graph from ``loss``'s node: a handle that is a list is a node,
+    any other is a leaf. Gradients flow through a scratch table; each entry
+    is dropped as soon as its node has passed it back, so an intermediate
+    gradient lives only until its op's backward has run. A leaf's first
+    gradient is copied, because an op may hand one array to several operands
+    (``add``) and gradient clipping scales grads in place. Calling backward()
+    twice without zeroing grads adds exactly one more copy of each gradient.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {tuple(loss.shape)}")
+    root = loss._node or (loss if loss.requires_grad else None)
+    if root is None:
+        return
 
-    topo: list[Tensor] = []
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        handle, expanded = stack.pop()
         if expanded:
-            topo.append(node)
+            topo.append(handle)
             continue
-        if id(node) in visited:
+        if id(handle) in visited:
             continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited and p.requires_grad:
-                stack.append((p, False))
+        visited.add(id(handle))
+        stack.append((handle, True))
+        if type(handle) is list:
+            for p in handle[1:]:
+                if p is not None and id(p) not in visited:
+                    stack.append((p, False))
 
-    running: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = running.pop(id(node), None)
-        if g is None or not node.requires_grad:
+    running: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    for handle in reversed(topo):
+        g = running.pop(id(handle), None)
+        if g is None:
             continue
-        if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+        if type(handle) is not list:
+            if handle.requires_grad:  # a leaf frozen since the forward gets nothing
+                handle.grad = g.copy() if handle.grad is None else handle.grad + g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(handle[1:], handle[0](g)):
+            if pg is None or parent is None:
                 continue
             acc = running.get(id(parent))
             running[id(parent)] = pg if acc is None else acc + pg
@@ -316,9 +350,10 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * x.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
+    shape, dtype = x.data.shape, x.data.dtype  # the closure needs only these of x
 
     def bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[idx] = g
         return (gx,)
 
@@ -344,11 +379,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if bd.ndim != 2 and ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul: batch dims differ for {a.shape} @ {b.shape}")
 
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def bw(g):
         ga = gb = None  # an operand that needs no gradient gets none computed
-        if a.requires_grad:
+        if need_a:
             ga = g @ (bd.T if bd.ndim == 2 else bd.swapaxes(-1, -2))
-        if b.requires_grad:
+        if need_b:
             if bd.ndim == 2:
                 gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
@@ -373,14 +410,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if bd.shape != wd.shape[1:]:
         raise ShapeError(f"linear: bias shape {b.shape} does not match output width of {w.shape}")
     lead = tuple(range(xd.ndim - 1))
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
 
     def bw(g):
         gx = gw = gb = None  # an operand that needs no gradient gets none computed
-        if x.requires_grad:
+        if need_x:
             gx = g @ wd.T
-        if w.requires_grad:
+        if need_w:
             gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        if b.requires_grad:
+        if need_b:
             gb = g.sum(axis=lead)
         return gx, gw, gb
 
@@ -399,12 +437,14 @@ def batched_dot(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[0] != b.shape[0] or a.shape[1] != b.shape[2]:
         raise ShapeError(f"batched_dot: shapes {a.shape} and {b.shape} are inconsistent")
 
+    ad, bd = a.data, b.data
+
     def bw(g):
-        ga = np.einsum("bp,bpd->bd", g, b.data)
-        gb = np.einsum("bp,bd->bpd", g, a.data)
+        ga = np.einsum("bp,bpd->bd", g, bd)
+        gb = np.einsum("bp,bd->bpd", g, ad)
         return ga, gb
 
-    return _result(np.einsum("bd,bpd->bp", a.data, b.data), (a, b), bw)
+    return _result(np.einsum("bd,bpd->bp", ad, bd), (a, b), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +476,14 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     of dividing by zero.
     """
     axis = axis % x.ndim
-    n = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True))
+    xd = x.data
+    n = np.sqrt((xd * xd).sum(axis=axis, keepdims=True))
     d = n + NORM_EPS
-    y = x.data / d
+    y = xd / d
 
     def bw(g):
-        s = (g * x.data).sum(axis=axis, keepdims=True)
-        return (g / d - x.data * (s / (d * d * np.maximum(n, NORM_EPS))),)
+        s = (g * xd).sum(axis=axis, keepdims=True)
+        return (g / d - xd * (s / (d * d * np.maximum(n, NORM_EPS))),)
 
     return _result(y, (x,), bw)
 
@@ -565,9 +606,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     else:  # a wider gain or bias promotes, as the out-of-place formula does
         out = xhat * gain.data + bias.data
     lead = tuple(range(x.ndim - 1))
+    gd = gain.data
 
     def bw(g):
-        gx = g * gain.data
+        gx = g * gd
         t = gx * xhat
         m1 = np.add.reduce(gx, axis=-1, keepdims=True) / d
         m2 = np.add.reduce(t, axis=-1, keepdims=True) / d
@@ -601,12 +643,13 @@ def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
     lsm = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     b = logits.shape[0]
     p = np.exp(lsm)
+    td, need_t = target.data, target.requires_grad
 
     def bw(g):
         gs = g.reshape(()) / b
-        gl = (p * target.data.sum(axis=1, keepdims=True) - target.data) * gs
-        gt = -lsm * gs if target.requires_grad else None
+        gl = (p * td.sum(axis=1, keepdims=True) - td) * gs
+        gt = -lsm * gs if need_t else None
         return gl, gt
 
-    loss = np.asarray(-(target.data * lsm).sum() / b)
+    loss = np.asarray(-(td * lsm).sum() / b)
     return _result(loss, (logits, target), bw)

@@ -98,6 +98,7 @@ class TestGenData:
         ("--noise-std", "-1", "noise_std must be finite and >= 0, got -1.0"),
         ("--noise-std", "inf", "noise_std must be finite and >= 0, got inf"),
         ("--channels", "0", "channels must be positive, got 0"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
     ])
     def test_bad_value_is_argument_error_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "x"
@@ -148,6 +149,15 @@ class TestBuildBank:
         code, _, err = run(capsys, "build-bank", "--data", str(data_dir), "--modality", modality,
                            "--dim", "16", "--seed", str(2**64), "--out", str(out))
         assert (code, err) == (2, f"error: bank seed must lie in [0, 2**64), got {2**64}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modality,seed", [("text", -5), ("text", 2**64), ("image", -1), ("mixed", -1)])
+    def test_seed_outside_u64_is_argument_error_for_every_modality(self, tmp_path, data_dir, capsys,
+                                                                  modality, seed):
+        out = tmp_path / "x.ivpb"
+        code, _, err = run(capsys, "build-bank", "--data", str(data_dir), "--modality", modality,
+                           "--dim", "16", "--seed", str(seed), "--out", str(out))
+        assert (code, err) == (2, f"error: bank seed must lie in [0, 2**64), got {seed}\n")
         assert not out.exists()
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
@@ -498,6 +508,9 @@ def test_eval_without_bank_is_argument_error(tmp_path):
 
 
 class TestGradcheckCommand:
+    def test_negative_seed_is_argument_error(self, capsys):
+        assert run(capsys, "gradcheck", "--seed", "-1") == (2, "", "error: --seed must be >= 0, got -1\n")
+
     def test_fresh_build_passes(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--seed", "0")
         assert code == 0

@@ -186,6 +186,16 @@ class TestPromptBank:
         with pytest.raises(ValueError, match="seed"):
             PromptBank(["a"], [[1.0]], "image", seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, None, np.float64(4.0)])
+    def test_seed_that_is_not_an_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^bank seed must be an integer, got "):
+            PromptBank(["a"], [[1.0]], "image", seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed_accepted(self, seed, tmp_path):
+        save_bank(PromptBank(["a"], [[1.0]], "image", seed=seed), tmp_path / "b.ivpb")
+        assert load_bank(tmp_path / "b.ivpb").seed == int(seed)
+
 
 class TestMixedBank:
     def make_pair(self):

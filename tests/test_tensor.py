@@ -485,9 +485,14 @@ def test_result_records_an_edge_iff_some_parent_requires_grad(flags):
     for k in range(len(parents) + 1):  # zero, one, two and all three parents
         out = T._result(np.ones(2), parents[:k], bw)
         if any(flags[:k]):
-            assert out.requires_grad and out._parents == parents[:k] and out._backward is bw
+            # one handle per parent: the leaf itself if it requires grad, else None
+            handles = out._node[1:]
+            assert out.requires_grad and out._backward is bw
+            assert len(handles) == k
+            for h, p in zip(handles, parents):
+                assert h is (p if p.requires_grad else None)
         else:
-            assert not out.requires_grad and out._parents == () and out._backward is None
+            assert not out.requires_grad and out._node is None and out._backward is None
         assert out.grad is None
 
 
