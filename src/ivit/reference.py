@@ -1,0 +1,157 @@
+"""The model's forward and joint loss in plain float64 numpy, for many parameter sets at once.
+
+An oracle for `model.InstructionModel` that shares no code with it: written
+from the architecture (README, "How the model fits together"), it imports
+nothing of ivit but the config. Parameters are read by their
+``InstructionModel.named_parameters()`` names, and every parameter array
+carries a leading axis of S parameter sets. An axis of length 1 broadcasts,
+so a parameter shared by every set is passed once, and whatever depends only
+on shared parameters is computed once. One call evaluates all S models on
+the same images, prompt rows and targets; the gradient check passes the
+``+-`` step perturbations of one parameter tensor as its sets.
+
+Each step repeats the float64 arithmetic of the op it stands for, in the same
+order and with matrix products of the same shapes. Layer norm multiplies by
+``1 / sqrt(var + eps)``, softmax divides by its sum, gelu is the exact erf
+form, and the score row is an ``einsum`` over l2-normalised rows. So a float64
+model and the reference agree bit for bit on the loss, and finite differences
+taken through either are the same numbers. The constants below are the
+reference's own, so a changed constant in the ops shows up as a mismatch.
+There is no dropout.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Mapping, NamedTuple
+
+import numpy as np
+from scipy.special import erf
+
+from .config import ModelConfig
+
+LN_EPS = 1e-5
+NORM_EPS = 1e-12
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+class Output(NamedTuple):
+    logits: np.ndarray      # [S, B, C]
+    score: np.ndarray       # [S, B, P]; P may be 0
+    loss_pred: np.ndarray   # [S]
+    loss_score: np.ndarray  # [S]; 0 without prompt rows
+    loss: np.ndarray        # [S], the weighted sum
+
+
+def _per_set(p: np.ndarray, ndim: int) -> np.ndarray:
+    """View a parameter [S, *shape] so that it broadcasts against an ``ndim``-d activation [S, ..., *shape]."""
+    return p.reshape(p.shape[:1] + (1,) * (ndim - p.ndim) + p.shape[1:])
+
+
+def _linear(x: np.ndarray, params: Mapping[str, np.ndarray], name: str) -> np.ndarray:
+    """``x @ weight + bias`` per set: x [S, ..., D_in] -> [S, ..., D_out]."""
+    return x @ _per_set(params[f"{name}.weight"], x.ndim) + _per_set(params[f"{name}.bias"], x.ndim)
+
+
+def _layer_norm(x: np.ndarray, params: Mapping[str, np.ndarray], name: str) -> np.ndarray:
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    return xc * inv * _per_set(params[f"{name}.gain"], x.ndim) + _per_set(params[f"{name}.bias"], x.ndim)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _l2_normalize(x: np.ndarray) -> np.ndarray:
+    return x / (np.sqrt((x * x).sum(axis=-1, keepdims=True)) + NORM_EPS)
+
+
+def _attention(x: np.ndarray, params: Mapping[str, np.ndarray], name: str, heads: int) -> np.ndarray:
+    """Multi-head self-attention over every token: x [S, B, T, D] -> [S, B, T, D]."""
+    head_dim = x.shape[-1] // heads
+
+    def split(y: np.ndarray) -> np.ndarray:  # [S, B, T, D] -> [S, B, H, T, hd]
+        return y.reshape(y.shape[:3] + (heads, head_dim)).transpose(0, 1, 3, 2, 4)
+
+    q, k, v = (split(_linear(x, params, f"{name}.{w}")) for w in ("wq", "wk", "wv"))
+    attn = _softmax((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(head_dim)))
+    out = attn @ v
+    out = out.transpose(0, 1, 3, 2, 4).reshape(out.shape[:2] + (out.shape[3], x.shape[-1]))
+    return _linear(out, params, f"{name}.wo")
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + erf(x * INV_SQRT2))
+
+
+def _concat_tokens(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate [S or 1, B, T_i, D] blocks along the tokens, broadcasting the set axis."""
+    s = max(p.shape[0] for p in parts)
+    return np.concatenate([np.broadcast_to(p, (s,) + p.shape[1:]) for p in parts], axis=2)
+
+
+def _targets(target, width: int) -> np.ndarray:
+    """Hard labels [B] as one-hot rows, or soft rows [B, width] as given, in float64."""
+    arr = np.asarray(target)
+    if arr.ndim == 1:
+        rows = np.zeros((arr.size, width))
+        rows[np.arange(arr.size), arr] = 1.0
+        return rows
+    if arr.shape[1] != width:
+        raise ValueError(f"soft target width {arr.shape[1]} != {width} columns")
+    return arr.astype(np.float64)
+
+
+def _cross_entropy(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Mean over the batch of ``-sum(target * log_softmax(logits))``: logits [S, B, K] -> [S]."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return -(target * lsm).reshape(lsm.shape[0], -1).sum(axis=1) / lsm.shape[1]
+
+
+def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], images: np.ndarray,
+            prompts: np.ndarray | None, target) -> Output:
+    """Logits, score row and losses of each parameter set.
+
+    ``images`` is [B, C, H, W], ``prompts`` [P, D_p] rows shared by every image
+    (None or no rows: an empty score row and no score loss), and ``target``
+    hard labels [B] or soft rows [B, n_classes]. A soft target is also the
+    score target, so it needs one prompt row per class.
+    """
+    params = {name: np.asarray(p, dtype=np.float64) for name, p in params.items()}
+    images = np.asarray(images, dtype=np.float64)
+    b = images.shape[0]
+    side = cfg.image_size // cfg.patch_size
+    x = images.reshape(b, cfg.channels, side, cfg.patch_size, side, cfg.patch_size)
+    x = x.transpose(0, 2, 4, 1, 3, 5).reshape(1, b, cfg.n_patches, cfg.patch_dim)
+    patches = _linear(x, params, "backbone.patch_embed")
+    cls = params["backbone.cls_token"]
+    cls = np.broadcast_to(cls[:, None], (cls.shape[0], b) + cls.shape[1:])
+    x = _concat_tokens([cls, patches]) + _per_set(params["backbone.pos_embed"], 4)
+    n_prompts = 0 if prompts is None else len(prompts)
+    if n_prompts:
+        rows = _linear(np.asarray(prompts, dtype=np.float64)[None], params, "prompt_embed")
+        x = _concat_tokens([x, np.broadcast_to(rows[:, None], (rows.shape[0], b) + rows.shape[1:])])
+
+    for i in range(cfg.depth):
+        name = f"backbone.blocks.{i}"
+        x = x + _attention(_layer_norm(x, params, f"{name}.ln1"), params, f"{name}.attn", cfg.heads)
+        x = x + _linear(_gelu(_linear(_layer_norm(x, params, f"{name}.ln2"), params, f"{name}.fc1")),
+                        params, f"{name}.fc2")
+    x = _layer_norm(x, params, "backbone.final_ln")
+
+    cls_out = x[:, :, 0]
+    logits = _linear(cls_out, params, "head")
+    loss_pred = _cross_entropy(logits, _targets(target, cfg.n_classes))
+    loss = loss_pred * float(cfg.loss_pred_weight)
+    if n_prompts:
+        prompt_out = x[:, :, x.shape[2] - n_prompts:]
+        score = np.einsum("sbd,sbpd->sbp", _l2_normalize(cls_out), _l2_normalize(prompt_out))
+        loss_score = _cross_entropy(score, _targets(target, n_prompts))
+        loss = loss + loss_score * float(cfg.loss_score_weight)
+    else:
+        score = np.zeros(x.shape[:2] + (0,))
+        loss_score = np.zeros_like(loss_pred)
+    return Output(logits, score, loss_pred, loss_score, loss)

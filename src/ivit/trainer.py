@@ -181,6 +181,32 @@ def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch, bank: Pro
     return loss, pred.item(), score.item() if score is not None else 0.0
 
 
+def _train_step(model: InstructionModel, trainable: dict[str, Tensor], state: AdamState,
+                batch: LabeledBatch, images: np.ndarray, target, bank: PromptBank,
+                dropout_rng: np.random.Generator, lr: float, cfg: TrainConfig) -> tuple[float, float, float]:
+    """Forward, backward and one Adam update; returns the step's (loss_pred, loss_score, loss_total).
+
+    Only floats leave this frame, so the step's graph and every array it
+    holds are freed when it returns, not kept through the epoch's evaluation
+    and checkpoint writes. A non-finite loss raises ``NonFiniteError`` before
+    the backward.
+    """
+    if model.config.select_in_training:
+        loss, pred_val, score_val = _selected_batch_loss(model, batch, bank, model.config.select_k, dropout_rng)
+    else:
+        loss, pred_val, score_val = model.total_loss(model.forward(images, bank.features, dropout_rng), target)
+    total = loss.item()
+    if not math.isfinite(total):
+        raise NonFiniteError(f"training loss is {total}")
+    model.zero_grad()
+    T.backward(loss)
+    grads = {name: p.grad for name, p in trainable.items() if p.grad is not None}
+    if cfg.grad_clip > 0:
+        _clip_grads(grads, cfg.grad_clip)
+    adam_step(trainable, grads, state, lr, cfg)
+    return pred_val, score_val, total
+
+
 def apply_freeze(model: InstructionModel, regime: str) -> tuple[dict[str, Tensor], int, int]:
     """Mark the parameters ``regime`` freezes as non-differentiable; returns (trainable, n_train, n_total)."""
     trainable: dict[str, Tensor] = {}
@@ -224,8 +250,7 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     state = AdamState()
     rng = np.random.default_rng([cfg.seed, 0x7EA1])
 
-    select_training = model.config.select_in_training
-    if select_training:
+    if model.config.select_in_training:
         if model.config.select_k < 1:
             raise ConfigError("select_in_training needs select_k >= 1")
         if cfg.mixup_alpha > 0:
@@ -248,25 +273,12 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
             images, target = batch.images, batch.hard_labels
             if cfg.mixup_alpha > 0:
                 images, target = mixup(batch, cfg.mixup_alpha, rng, dataset.n_classes)
+            lr = lr_at(global_step, total_steps, cfg)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    if select_training:
-                        loss, pred_val, score_val = _selected_batch_loss(
-                            model, batch, bank, model.config.select_k, dropout_rng)
-                    else:
-                        out = model.forward(images, bank.features, dropout_rng)
-                        loss, pred_val, score_val = model.total_loss(out, target)
-                    total = loss.item()
-                    if not math.isfinite(total):
-                        raise NonFiniteError(f"epoch {epoch}, step {global_step}: training loss is {total}")
-                    model.zero_grad()
-                    T.backward(loss)
-                    grads = {name: p.grad for name, p in trainable.items() if p.grad is not None}
-                    if cfg.grad_clip > 0:
-                        _clip_grads(grads, cfg.grad_clip)
-                    lr = lr_at(global_step, total_steps, cfg)
-                    adam_step(trainable, grads, state, lr, cfg)
-            except FloatingPointError as e:
+                    pred_val, score_val, total = _train_step(
+                        model, trainable, state, batch, images, target, bank, dropout_rng, lr, cfg)
+            except (FloatingPointError, NonFiniteError) as e:
                 raise NonFiniteError(f"epoch {epoch}, step {global_step}: {e}") from e
 
             sums["pred"] += pred_val

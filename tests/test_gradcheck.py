@@ -1,9 +1,12 @@
 """The gradient-check oracle itself: its error measure and what it must catch."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ivit import gradcheck as G
+from ivit import reference
 from ivit import tensor as T
 
 
@@ -66,3 +69,44 @@ def test_floor_changes_only_errors_of_tiny_gradients(monkeypatch):
     assert below and above
     assert all(new == old for new, old in above)
     assert all(new <= old for new, old in below)
+
+
+@pytest.mark.parametrize("name", ["head.weight", "backbone.pos_embed", "backbone.blocks.0.attn.wk.bias"])
+def test_batched_numerical_grad_equals_the_per_entry_one_over_the_model(name):
+    """The reference pass gives the same finite differences, bit for bit, as the model's own forward.
+
+    The key bias has an exactly-zero gradient, so its finite differences are
+    pure rounding noise, and they must agree too.
+    """
+    model, images, prompts, labels = G.model_case(0)
+    params = {n: p.data for n, p in model.named_parameters()}
+    batched = G.batched_numerical_grad(
+        lambda sets: reference.forward(model.config, sets, images, prompts, labels).loss, params, name)
+    per_entry = G.numerical_grad(
+        lambda: model.total_loss(model.forward(images, prompts), labels)[0].item(), params[name])
+    assert np.array_equal(batched, per_entry)
+
+
+def test_a_wrong_forward_fails_even_with_a_consistent_backward(monkeypatch):
+    """Attention scores scaled by 1/sqrt(dim) instead of 1/sqrt(head_dim), backward included."""
+    exact = T.scale
+
+    def scale(x, c):
+        if x.ndim == 4:  # the [B, H, T, T] attention scores; the model check's dim is 16
+            c = 1.0 / np.sqrt(16)
+        return exact(x, c)
+
+    monkeypatch.setattr(T, "scale", scale)
+    assert G.run_model_check(0) > G.MODEL_TOL
+
+
+def test_model_check_allocates_under_a_megabyte():
+    """A reference pass of `SETS_PER_PASS` sets stays small; one pass per parameter tensor would not."""
+    G.run_model_check(0)
+    tracemalloc.start()
+    try:
+        G.run_model_check(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -5,6 +5,8 @@ parameter first touches them inside the model. So the model needs nothing
 from the prompt module, and the modules that produce frozen data never name
 the autograd `Tensor`. The bank and checkpoint formats read their bytes only
 through the shared `_binfile.Reader`, so neither grows its own offset logic.
+The reference forward imports only the config, so it can be an oracle for
+the model.
 """
 
 import ast
@@ -77,3 +79,17 @@ def test_frozen_data_modules_do_not_import_tensor(module):
 @pytest.mark.parametrize("module", ["checkpoint", "prompts"])
 def test_file_formats_read_only_through_the_shared_reader(module):
     assert not unpacks_bytes(parse(module))
+
+
+def test_reference_imports_only_the_config():
+    """The reference forward is an oracle for the model, so it shares none of its code."""
+    tree = parse("reference")
+    assert [m.stem for m in SRC.glob("*.py") if m.stem != "config" and imports_module(tree, m.stem)] == []
+
+
+def test_gradcheck_imports_only_at_module_level():
+    """An import inside a function would bind a new name in the middle of a traced run."""
+    tree = parse("gradcheck")
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert all(n in tree.body for n in imports)
+    assert imports_module(tree, "reference")

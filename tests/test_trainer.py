@@ -1,11 +1,13 @@
 """Training loop contracts: schedule, Adam, mixup, freeze regimes, metrics."""
 
 import _ctypes
+import dataclasses
 import hashlib
 import math
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from ivit import _blas
 from ivit import dataset as ds
+from ivit import tensor as tensor_mod
 from ivit import trainer as trainer_mod
 from ivit.config import REGIMES, ModelConfig, TrainConfig
 from ivit.errors import ConfigError, ConsistencyError, NonFiniteError
@@ -285,6 +288,33 @@ def test_non_finite_parameter_stops_before_the_checkpoint(tmp_path, monkeypatch)
         train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, mixup_alpha=0.0),
               out_dir=str(out))
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("select", [False, True])
+def test_no_step_graph_outlives_its_step(tmp_path, monkeypatch, select):
+    """Every step's graph is freed before the epoch's evaluation starts.
+
+    The loss's backward closure stands for the graph: a name for the loss, or
+    for any tensor of the step's forward, keeps it alive.
+    """
+    model, data, bank = tiny_setup(tmp_path, n_classes=4, n_train=16, n_val=8)
+    model = InstructionModel(dataclasses.replace(model.config, select_k=2, select_in_training=select), seed=1)
+    losses = []
+    real_backward, real_evaluate = tensor_mod.backward, trainer_mod.evaluate
+
+    def keeping_backward(loss):
+        losses.append(weakref.ref(loss._backward))
+        real_backward(loss)
+
+    def checking_evaluate(*args, **kwargs):
+        assert losses and all(ref() is None for ref in losses)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(tensor_mod, "backward", keeping_backward)
+    monkeypatch.setattr(trainer_mod, "evaluate", checking_evaluate)
+    history = train(model, data, bank, TrainConfig(epochs=2, batch_size=8, warmup_epochs=0, mixup_alpha=0.0),
+                    out_dir=str(tmp_path / "run"))
+    assert len(history) == 2 and len(losses) == 4
 
 
 class TestSelectionInTraining:
