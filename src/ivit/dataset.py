@@ -216,15 +216,16 @@ class SyntheticDataset:
     def normalize(self, raw: np.ndarray) -> np.ndarray:
         return ((raw - self.meta.mean) / self.meta.std).astype(np.float32)
 
+    def _batch(self, images, labels, idx: np.ndarray) -> LabeledBatch:
+        raw = images[idx]
+        return LabeledBatch(images=self.normalize(raw), hard_labels=labels[idx].astype(np.int64),
+                            raw_images=raw)
+
     def _batches(self, images, labels, batch_size: int, order: np.ndarray) -> Iterator[LabeledBatch]:
-        for start in range(0, labels.size, batch_size):
-            idx = order[start : start + batch_size]
-            raw = images[idx]
-            yield LabeledBatch(
-                images=self.normalize(raw),
-                hard_labels=labels[idx].astype(np.int64),
-                raw_images=raw,
-            )
+        if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+        return (self._batch(images, labels, order[start : start + batch_size])
+                for start in range(0, labels.size, batch_size))
 
     def train_batches(self, batch_size: int, rng: np.random.Generator | None = None) -> Iterator[LabeledBatch]:
         """Batches shuffled by ``rng``, or in stored order without one."""

@@ -365,11 +365,30 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` [..., D] as one matrix [rows, D], a view where the layout allows."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` [..., K] @ ``b`` [K, N] as one 2-d GEMM over the stacked rows of ``a``.
+
+    numpy runs a stacked ``a @ b`` as one GEMM per leading index. One call over
+    all rows is faster, and on some shapes (one-row matrices, odd widths) it
+    rounds differently.
+    """
+    if a.ndim == 2:
+        return a @ b
+    return (_rows(a) @ b).reshape(a.shape[:-1] + b.shape[1:])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.
 
     Supported forms: 2-d @ 2-d, n-d @ 2-d (stacked rows through one matrix),
-    and batched n-d @ n-d with identical leading dims. Nothing else.
+    and batched n-d @ n-d with identical leading dims. Nothing else. The
+    n-d @ 2-d form runs as one GEMM over the stacked rows, forward and
+    backward.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
@@ -380,27 +399,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: batch dims differ for {a.shape} @ {b.shape}")
 
     need_a, need_b = a.requires_grad, b.requires_grad
+    shared = bd.ndim == 2
 
     def bw(g):
         ga = gb = None  # an operand that needs no gradient gets none computed
         if need_a:
-            ga = g @ (bd.T if bd.ndim == 2 else bd.swapaxes(-1, -2))
+            ga = _gemm(g, bd.T) if shared else g @ bd.swapaxes(-1, -2)
         if need_b:
-            if bd.ndim == 2:
-                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = ad.swapaxes(-1, -2) @ g
+            gb = _rows(ad).T @ _rows(g) if shared else ad.swapaxes(-1, -2) @ g
         return ga, gb
 
-    return _result(ad @ bd, (a, b), bw)
+    return _result(_gemm(ad, bd) if shared else ad @ bd, (a, b), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one graph node: ``x`` [..., D_in], ``w`` [D_in, D_out], ``b`` [D_out].
 
     The arithmetic of ``add_bias(matmul(x, w), b)``, forward and backward, bit
-    for bit; the bias is added in place on the fresh product, so the product
-    is not kept alive as a second activation.
+    for bit: the product and the input gradient are each one GEMM over the
+    stacked rows of ``x`` (of the output gradient), as the weight gradient
+    is. The bias is added in place on the fresh product, so the product is
+    not kept alive as a second activation.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim < 2 or wd.ndim != 2:
@@ -415,14 +434,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         gx = gw = gb = None  # an operand that needs no gradient gets none computed
         if need_x:
-            gx = g @ wd.T
+            gx = _gemm(g, wd.T)
         if need_w:
-            gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            gw = _rows(xd).T @ _rows(g)
         if need_b:
             gb = g.sum(axis=lead)
         return gx, gw, gb
 
-    y = xd @ wd
+    y = _gemm(xd, wd)
     if y.dtype == bd.dtype:
         y += bd
     else:  # a bias of another dtype promotes as add_bias's out-of-place sum does

@@ -87,8 +87,12 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             continue
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(p.data)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p.data)
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
         p.data -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).astype(p.data.dtype, copy=False)
@@ -236,7 +240,8 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     trainable parameter that is not finite at the end of an epoch, raises
     ``NonFiniteError`` before anything more is written. ``stop_at_head_top1``
     ends training early once the train-split accuracy reaches the threshold
-    (used by smoke tests).
+    (used by smoke tests). numpy's OpenBLAS is held at one thread for the
+    whole epoch loop (see `_blas`), and its previous count comes back after.
     """
     if dataset.class_names != bank.class_names:
         raise ConsistencyError(
@@ -264,47 +269,50 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
         os.makedirs(out_dir, exist_ok=True)
 
     dropout_rng = np.random.default_rng([cfg.seed, 0xD120])
-    for epoch in range(1, cfg.epochs + 1):
-        sums = {"pred": 0.0, "score": 0.0, "total": 0.0}
-        n_batches = 0
-        lr = 0.0
-        for batch in dataset.train_batches(cfg.batch_size, rng=rng):
-            global_step += 1
-            images, target = batch.images, batch.hard_labels
-            if cfg.mixup_alpha > 0:
-                images, target = mixup(batch, cfg.mixup_alpha, rng, dataset.n_classes)
-            lr = lr_at(global_step, total_steps, cfg)
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    pred_val, score_val, total = _train_step(
-                        model, trainable, state, batch, images, target, bank, dropout_rng, lr, cfg)
-            except (FloatingPointError, NonFiniteError) as e:
-                raise NonFiniteError(f"epoch {epoch}, step {global_step}: {e}") from e
+    # the steps' GEMMs are too small for BLAS threads to pay, and workers they
+    # wake keep spinning next to the per-epoch eval's pool
+    with _blas.single_threaded():
+        for epoch in range(1, cfg.epochs + 1):
+            sums = {"pred": 0.0, "score": 0.0, "total": 0.0}
+            n_batches = 0
+            lr = 0.0
+            for batch in dataset.train_batches(cfg.batch_size, rng=rng):
+                global_step += 1
+                images, target = batch.images, batch.hard_labels
+                if cfg.mixup_alpha > 0:
+                    images, target = mixup(batch, cfg.mixup_alpha, rng, dataset.n_classes)
+                lr = lr_at(global_step, total_steps, cfg)
+                try:
+                    with np.errstate(over="raise", invalid="raise", divide="raise"):
+                        pred_val, score_val, total = _train_step(
+                            model, trainable, state, batch, images, target, bank, dropout_rng, lr, cfg)
+                except (FloatingPointError, NonFiniteError) as e:
+                    raise NonFiniteError(f"epoch {epoch}, step {global_step}: {e}") from e
 
-            sums["pred"] += pred_val
-            sums["score"] += score_val
-            sums["total"] += total
-            n_batches += 1
+                sums["pred"] += pred_val
+                sums["score"] += score_val
+                sums["total"] += total
+                n_batches += 1
 
-        # before the epoch's eval and checkpoint; final.ckpt holds these same parameters
-        for name, p in trainable.items():
-            if not np.isfinite(p.data).all():
-                raise NonFiniteError(f"epoch {epoch}: parameter {name} is not finite")
-        ev = evaluate(model, dataset, bank, split="train", batch_size=cfg.batch_size)
-        metrics = EpochMetrics(
-            epoch=epoch,
-            loss_pred=sums["pred"] / n_batches,
-            loss_score=sums["score"] / n_batches,
-            loss_total=sums["total"] / n_batches,
-            head_top1=ev.head_top1,
-            score_top1=ev.score_top1,
-            lr=lr,
-        )
-        history.append(metrics)
-        if out_dir:
-            save_checkpoint(os.path.join(out_dir, f"epoch_{epoch:03d}.ckpt"), model, step=global_step)
-        if stop_at_head_top1 is not None and metrics.head_top1 >= stop_at_head_top1:
-            break
+            # before the epoch's eval and checkpoint; final.ckpt holds these same parameters
+            for name, p in trainable.items():
+                if not np.isfinite(p.data).all():
+                    raise NonFiniteError(f"epoch {epoch}: parameter {name} is not finite")
+            ev = evaluate(model, dataset, bank, split="train", batch_size=cfg.batch_size)
+            metrics = EpochMetrics(
+                epoch=epoch,
+                loss_pred=sums["pred"] / n_batches,
+                loss_score=sums["score"] / n_batches,
+                loss_total=sums["total"] / n_batches,
+                head_top1=ev.head_top1,
+                score_top1=ev.score_top1,
+                lr=lr,
+            )
+            history.append(metrics)
+            if out_dir:
+                save_checkpoint(os.path.join(out_dir, f"epoch_{epoch:03d}.ckpt"), model, step=global_step)
+            if stop_at_head_top1 is not None and metrics.head_top1 >= stop_at_head_top1:
+                break
 
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "final.ckpt"), model, step=global_step)

@@ -6,6 +6,10 @@ the same order, only in place and (float32 gelu) in ``T.CHUNK``-element
 pieces, so every forward value and every gradient must match exactly: in
 float32 and float64, on 2-, 3- and 4-d inputs whose sizes straddle the chunk
 length, and on non-contiguous (transposed) inputs.
+
+``linear``'s reference is one 2-d GEMM over the stacked rows. numpy's stacked
+``x @ w``, one matrix per leading index, rounds differently on some shapes; it
+is held to ``rounding_bound`` of the op instead.
 """
 
 import math
@@ -68,9 +72,34 @@ def softmax_ref(x, g):
 
 
 def linear_ref(x, w, b, g):
+    """One 2-d GEMM over the stacked rows, for the product and both matrix gradients."""
     lead = tuple(range(x.ndim - 1))
-    gw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    return x @ w + b, (g @ w.T, gw, g.sum(axis=lead))
+    rows = x.reshape(-1, x.shape[-1])
+    g_rows = g.reshape(-1, g.shape[-1])
+    y = (rows @ w).reshape(x.shape[:-1] + w.shape[1:]) + b
+    gx = (g_rows @ w.T).reshape(x.shape)
+    gw = rows.T @ g_rows
+    return y, (gx, gw, g.sum(axis=lead))
+
+
+def rounding_bound(a, b, bias=None):
+    """Largest gap between two float evaluations of ``a @ b (+ bias)``, elementwise.
+
+    Each element is a sum of K products, plus the bias when there is one.
+    Summed in any order, with or without fused multiply-adds, the computed
+    value lies within gamma_n * sum of |term| of the exact one, for n terms
+    and gamma_n = n*u / (1 - n*u), u the unit roundoff of the operands' dtype
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., §3.1).
+    Two evaluations that differ only in kernel or summation order are each
+    within that of the same exact value, so within twice it of each other.
+    The bound itself is worked out in float64.
+    """
+    n = a.shape[-1] + (bias is not None)
+    u = np.finfo(a.dtype).eps / 2
+    total = np.abs(a).astype(np.float64) @ np.abs(b).astype(np.float64)
+    if bias is not None:
+        total += np.abs(bias)
+    return 2 * n * u / (1 - n * u) * total
 
 
 def _shape(n, ndim):
@@ -186,4 +215,10 @@ def test_linear(x_shape, dtype, transposed):
     b = Tensor(rng.normal(size=7), requires_grad=True, dtype=dtype)
     g = rng.normal(size=x_shape[:-1] + (7,)).astype(dtype)
     out = T.linear(x, w, b)
-    _assert_op(out, out._backward(g), *linear_ref(x.data, w.data, b.data, g))
+    grads = out._backward(g)
+    _assert_op(out, grads, *linear_ref(x.data, w.data, b.data, g))
+    # numpy's stacked products, one matrix per leading index, which the op ran
+    # before; they round differently on the one-row shapes (2, 1, 5) and (4, 2, 1, 5)
+    y_old, gx_old = x.data @ w.data + b.data, g @ w.data.T
+    assert (np.abs(out.data - y_old) <= rounding_bound(x.data, w.data, b.data)).all()
+    assert (np.abs(grads[0] - gx_old) <= rounding_bound(g, w.data.T)).all()

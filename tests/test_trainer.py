@@ -149,6 +149,21 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
+    def test_moments_are_allocated_once(self, monkeypatch):
+        made = []
+        zeros_like = np.zeros_like
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return zeros_like(*args, **kwargs)
+
+        p = Tensor(np.ones(3), requires_grad=True)
+        state = AdamState()
+        monkeypatch.setattr(np, "zeros_like", counting)
+        for _ in range(2):
+            adam_step({"p": p}, {"p": np.ones(3, dtype=np.float32)}, state, 1e-2, DEFAULTS)
+        assert len(made) == 2  # one m and one v, at the first step only
+
 
 class _HalfRng:
     """Reverses the batch and draws lambda = 0.5."""
@@ -465,6 +480,19 @@ class TestEvaluate:
             with pytest.raises(NonFiniteError, match="evaluation on the val split: overflow"):
                 evaluate(model, data, bank, select_k=select_k, split="val", batch_size=2)
 
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True, "2", None])
+    def test_bad_batch_size_names_it(self, tmp_path, batch_size):
+        model, data, bank = tiny_setup(tmp_path)
+        for select_k in (None, 1):
+            with pytest.raises(ValueError, match="batch_size"):
+                evaluate(model, data, bank, select_k=select_k, split="val", batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            data.train_batches(batch_size)
+
+    def test_numpy_integer_batch_size_batches_as_an_int(self, tmp_path):
+        model, data, bank = tiny_setup(tmp_path)
+        assert evaluate(model, data, bank, batch_size=np.int64(3)) == evaluate(model, data, bank, batch_size=3)
+
     @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
     def test_bad_thread_cap_names_the_variable(self, tmp_path, monkeypatch, raw):
         model, data, bank = tiny_setup(tmp_path)
@@ -523,6 +551,22 @@ class TestEvalBlasThreads:
         # batch_size 2 sends the per-epoch eval through the pool as well
         train(model, data, bank, TrainConfig(epochs=1, batch_size=2, warmup_epochs=0,
                                              mixup_alpha=0.0))
+        assert blas_at_two_threads.get_num_threads() == 2
+
+    def test_every_training_step_runs_single_threaded_blas(self, tmp_path, monkeypatch,
+                                                           blas_at_two_threads):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        seen = []
+        inner = trainer_mod._train_step
+
+        def spy(*args):
+            seen.append(blas_at_two_threads.get_num_threads())
+            return inner(*args)
+
+        monkeypatch.setattr(trainer_mod, "_train_step", spy)
+        monkeypatch.setenv("IVIT_THREADS", "1")
+        train(model, data, bank, TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, mixup_alpha=0.0))
+        assert seen == [1] * 8
         assert blas_at_two_threads.get_num_threads() == 2
 
     def test_overlapping_blocks_restore_the_count_once(self, blas_at_two_threads):
