@@ -202,7 +202,7 @@ def op_cases(seed: int, dtype=np.float64) -> dict[str, tuple[Callable[[], Tensor
 
     lg = rt((4, 3))
     tg_rows = rng.dirichlet(np.ones(3), size=4)
-    tg = Tensor(tg_rows, requires_grad=True, dtype=dtype)
+    tg = tg_rows.astype(dtype)
     cases["cross_entropy"] = (lambda: T.cross_entropy(lg, tg), [lg])
 
     # appended last, so every case above keeps its draws

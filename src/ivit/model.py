@@ -40,9 +40,8 @@ from .tensor import Tensor
 
 @dataclass
 class ForwardOutput:
-    logits: Tensor       # [B, C]
-    score: Tensor        # [B, P] cosine similarities (P may be 0)
-    cls_feature: Tensor  # [B, dim]
+    logits: Tensor  # [B, C]
+    score: Tensor   # [B, P] cosine similarities (P may be 0)
 
 
 def one_hot(labels, n_classes: int, dtype=np.float32) -> np.ndarray:
@@ -103,16 +102,16 @@ class InstructionModel:
             score = T.batched_dot(T.l2_normalize(cls_out, axis=1), T.l2_normalize(prompt_out, axis=2))
         else:
             score = Tensor(np.zeros((b, 0), dtype=tokens.dtype))
-        return ForwardOutput(logits=logits, score=score, cls_feature=cls_out)
+        return ForwardOutput(logits=logits, score=score)
 
     # -- losses -------------------------------------------------------------
 
-    def _soft_target(self, target, n_cols: int) -> Tensor:
+    def _soft_target(self, target, n_cols: int) -> np.ndarray:
         arr = np.asarray(target)
         if arr.ndim == 1:
-            return Tensor(one_hot(arr, n_cols, dtype=self.dtype))
+            return one_hot(arr, n_cols, dtype=self.dtype)
         if arr.ndim == 2:
-            return Tensor(arr.astype(self.dtype))
+            return arr.astype(self.dtype)
         raise ShapeError(f"target must be a label vector or a soft-label matrix, got shape {arr.shape}")
 
     def loss_pred(self, logits: Tensor, target) -> Tensor:
@@ -121,8 +120,8 @@ class InstructionModel:
     def loss_score(self, score: Tensor, target) -> Tensor:
         """Softmax cross-entropy over a score row, target column positive (temperature 1).
 
-        Training always supplies the full class-aligned bank, so the target
-        class index doubles as the score column index.
+        A hard target is a score column index: the class index under the
+        full class-aligned bank, the kept class's column under selection.
         """
         p = score.shape[1]
         arr = np.asarray(target)
@@ -149,21 +148,6 @@ class InstructionModel:
         pred = self.loss_pred(out.logits, target)
         score = self.loss_score(out.score, target) if out.score.shape[1] else None
         return self.combine_losses(pred, score), pred.item(), score.item() if score is not None else 0.0
-
-    # -- prediction ---------------------------------------------------------
-
-    def predict(self, out: ForwardOutput, mode: str = "head") -> np.ndarray:
-        """Class indices per sample; ties break toward the lowest class index."""
-        if mode == "head":
-            return np.argmax(out.logits.data, axis=1)
-        if mode == "score":
-            if out.score.shape[1] != self.config.n_classes:
-                raise ConsistencyError(
-                    "score-mode prediction needs a class-aligned bank "
-                    f"({out.score.shape[1]} columns vs {self.config.n_classes} classes)"
-                )
-            return np.argmax(out.score.data, axis=1)
-        raise ValueError(f"unknown predict mode {mode!r}")
 
     # -- parameters ---------------------------------------------------------
 

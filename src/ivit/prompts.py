@@ -165,14 +165,12 @@ def toy_text_encode(text: str, dim: int) -> np.ndarray:
 
 
 def _grid_pool(img: np.ndarray) -> np.ndarray:
-    """Mean over a 4x4 spatial grid per channel -> [C * 16] features."""
-    c = img.shape[0]
-    rows = np.array_split(img, _GRID, axis=1)
-    feats = np.empty((c, _GRID, _GRID), dtype=np.float64)
-    for i, r in enumerate(rows):
-        for j, cell in enumerate(np.array_split(r, _GRID, axis=2)):
-            feats[:, i, j] = cell.reshape(c, -1).mean(axis=1)
-    return feats.reshape(-1)
+    """Mean over a 4x4 spatial grid per channel, `np.array_split`'s cells -> [C * 16] features."""
+    sizes = [np.full(_GRID, n // _GRID) + (np.arange(_GRID) < n % _GRID) for n in img.shape[1:]]
+    sums = img
+    for axis, size in enumerate(sizes, start=1):
+        sums = np.add.reduceat(sums, np.cumsum(size) - size, axis=axis)
+    return (sums / np.outer(*sizes)).reshape(-1)
 
 
 _projection_cache: dict[tuple[int, int], np.ndarray] = {}

@@ -5,15 +5,14 @@ and every class prompt ranks the N candidates; the top K stay as-is and the
 remaining N-K rows collapse into a single averaged remainder token, for
 K+1 prompt tokens total. When K >= N all rows pass through untouched.
 
-Ranking is a stable descending sort: ties keep ascending class index. The
-remainder token represents no single class, so score-mode prediction under
-selection excludes it from the argmax; with the true class possibly
-filtered out, score-mode accuracy under selection is measured over the kept
-classes only.
-
-Everything here is frozen data and stays in numpy: `selected_bank` returns
-the prompt-row array, kept rows then the remainder row, that one image's
-forward is fed.
+Ranking is a stable descending sort: ties keep ascending class index.
+Selection changes only which prompt rows an image's forward is fed and
+which class each score column stands for: `selected_bank` returns the
+rows, kept rows then the remainder row, and the kept classes name the
+columns. Both routes score through `predict_scores`. The remainder token
+represents no single class, so its column never wins; with the true class
+possibly filtered out, score-mode accuracy under selection is measured over
+the kept classes only. Everything here is frozen data and stays in numpy.
 """
 
 from __future__ import annotations
@@ -81,14 +80,12 @@ def selected_bank(sel: SelectionResult) -> np.ndarray:
     return np.concatenate([sel.kept_features, sel.remainder_feature[None, :]], axis=0)
 
 
-def predict_from_selection(score_row: np.ndarray, sel: SelectionResult) -> int:
-    """Score-mode class choice under selection.
+def predict_scores(score: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Score-mode class choice per row of ``score`` [B, P]; column j stands for ``classes[j]``.
 
-    The remainder column is ignored; among tied maxima the smallest class
-    index wins.
+    Columns past ``len(classes)`` (the remainder) never win; among tied
+    maxima the smallest class wins. With ``classes = arange(P)`` this is
+    ``argmax`` over the row.
     """
-    k = len(sel.kept_indices)
-    cols = score_row[:k]
-    best = cols.max()
-    candidates = [sel.kept_indices[i] for i in np.flatnonzero(cols == best)]
-    return min(candidates)
+    order = np.argsort(classes)
+    return classes[order][np.argmax(score[:, order], axis=1)]

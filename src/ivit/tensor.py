@@ -219,23 +219,15 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; ``b`` may be a Python scalar, tensors must match shapes."""
-    if isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
-        def bw(g):
-            return g, g
+    def bw(g):
+        return g, g
 
-        return _result(a.data + b.data, (a, b), bw)
-
-    c = float(b)
-
-    def bw1(g):
-        return (g,)
-
-    return _result(a.data + c, (a,), bw1)
+    return _result(a.data + b.data, (a, b), bw)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -644,31 +636,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _result(out, (x, gain, bias), bw)
 
 
-def cross_entropy(logits: Tensor, target: Tensor) -> Tensor:
+def cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     """Mean over the batch of ``-sum(target * log_softmax(logits))``.
 
-    ``target`` rows are soft labels and must each sum to 1 (one-hot rows for
-    hard labels). Returns a 0-d tensor. An empty batch has no mean and is a
-    ``ShapeError``.
+    ``target`` is a constant array, cast to the logits' dtype, whose rows are
+    soft labels and must each sum to 1 (one-hot rows for hard labels). Only
+    ``logits`` gets a gradient. Returns a 0-d tensor. An empty batch has no
+    mean and is a ``ShapeError``.
     """
-    if logits.ndim != 2 or target.ndim != 2 or logits.shape != target.shape:
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs target {target.shape}")
+    td = np.asarray(target, dtype=logits.dtype)
+    if logits.ndim != 2 or td.ndim != 2 or logits.shape != td.shape:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} vs target {td.shape}")
     if logits.shape[0] == 0:
         raise ShapeError(f"cross_entropy: empty batch, logits {logits.shape}")
-    row_sums = target.data.sum(axis=1)
+    row_sums = td.sum(axis=1)
     if not (np.abs(row_sums - 1.0) <= _ROW_SUM_TOL).all():  # np.allclose, without its overhead
         raise ValueError("cross_entropy: target rows must sum to 1")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lsm = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     b = logits.shape[0]
     p = np.exp(lsm)
-    td, need_t = target.data, target.requires_grad
 
     def bw(g):
-        gs = g.reshape(()) / b
-        gl = (p * td.sum(axis=1, keepdims=True) - td) * gs
-        gt = -lsm * gs if need_t else None
-        return gl, gt
+        return ((p * td.sum(axis=1, keepdims=True) - td) * (g.reshape(()) / b),)
 
     loss = np.asarray(-(td * lsm).sum() / b)
-    return _result(loss, (logits, target), bw)
+    return _result(loss, (logits,), bw)

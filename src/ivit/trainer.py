@@ -32,9 +32,9 @@ from ._atomic import write_atomic
 from .config import TrainConfig
 from .dataset import LabeledBatch, SyntheticDataset
 from .errors import ConfigError, ConsistencyError, NonFiniteError, ShapeError
-from .model import InstructionModel, one_hot
+from .model import ForwardOutput, InstructionModel, one_hot
 from .prompts import PromptBank
-from .selection import predict_from_selection, select, selected_bank
+from .selection import predict_scores, select, selected_bank
 from .tensor import Tensor
 
 METRICS_HEADER = "epoch,loss_pred,loss_score,loss_total,head_top1,score_top1,lr"
@@ -149,38 +149,36 @@ def _selected_forwards(model: InstructionModel, batch: LabeledBatch, bank: Promp
                        dropout_rng: np.random.Generator | None = None):
     """Per image: ``select``, its ``selected_bank`` and one batch-size-1 forward.
 
-    Yields ``(label, selection, output)`` in batch order.
+    Yields ``(output, labels [1], classes [K])`` in batch order, as `_hits`
+    takes them: score column ``j`` stands for class ``classes[j]``.
     """
     for i in range(len(batch)):
         sel = select(batch.raw_images[i], bank, k)
         out = model.forward(batch.images[i : i + 1], selected_bank(sel), dropout_rng)
-        yield int(batch.hard_labels[i]), sel, out
+        yield out, batch.hard_labels[i : i + 1], np.array(sel.kept_indices)
 
 
 def _selected_batch_loss(model: InstructionModel, batch: LabeledBatch, bank: PromptBank, k: int,
                          dropout_rng: np.random.Generator) -> tuple[Tensor, float, float]:
     """Per-image selection during training (the ablation path).
 
-    Each image sees only its own top-k prompts plus the remainder token; the
-    similarity loss is computed for the samples whose true class survived
-    the filter and skipped for the rest. Returns what ``total_loss`` does.
+    Each image sees only its own top-k prompts plus the remainder token.
+    ``loss_pred`` runs over every image's logits, ``loss_score`` over the
+    score rows of the samples whose true class survived the filter, each
+    with that class's column; it is skipped when none did. Returns what
+    ``total_loss`` does.
     """
-    pred_terms: list[Tensor] = []
-    score_terms: list[Tensor] = []
-    for label, sel, out in _selected_forwards(model, batch, bank, k, dropout_rng):
-        pred_terms.append(model.loss_pred(out.logits, np.array([label])))
-        if label in sel.kept_indices:
-            col = sel.kept_indices.index(label)
-            score_terms.append(model.loss_score(out.score, np.array([col])))
-
-    def average(terms: list[Tensor]) -> Tensor:
-        acc = T.scale(terms[0], 1.0 / len(terms))
-        for t in terms[1:]:
-            acc = T.add(acc, T.scale(t, 1.0 / len(terms)))
-        return acc
-
-    pred = average(pred_terms)
-    score = average(score_terms) if score_terms else None
+    logits: list[Tensor] = []
+    scores: list[Tensor] = []
+    cols: list[np.ndarray] = []
+    for out, labels, classes in _selected_forwards(model, batch, bank, k, dropout_rng):
+        logits.append(out.logits)
+        col = np.flatnonzero(classes == labels[0])
+        if col.size:
+            scores.append(out.score)
+            cols.append(col)
+    pred = model.loss_pred(T.concat(logits, axis=0), batch.hard_labels)
+    score = model.loss_score(T.concat(scores, axis=0), np.concatenate(cols)) if scores else None
     loss = model.combine_losses(pred, score)
     return loss, pred.item(), score.item() if score is not None else 0.0
 
@@ -334,22 +332,10 @@ def _eval_workers() -> int:
     return int(raw)
 
 
-def _eval_batch_plain(model: InstructionModel, batch: LabeledBatch,
-                     bank: PromptBank) -> tuple[int, int]:
-    out = model.forward(batch.images, bank.features)
-    head_hits = int((model.predict(out, "head") == batch.hard_labels).sum())
-    score_hits = int((model.predict(out, "score") == batch.hard_labels).sum())
-    return head_hits, score_hits
-
-
-def _eval_batch_selected(model: InstructionModel, batch: LabeledBatch,
-                         bank: PromptBank, k: int) -> tuple[int, int]:
-    head_hits = 0
-    score_hits = 0
-    for label, sel, out in _selected_forwards(model, batch, bank, k):
-        head_hits += int(np.argmax(out.logits.data[0])) == label
-        score_hits += predict_from_selection(out.score.data[0], sel) == label
-    return head_hits, score_hits
+def _hits(out: ForwardOutput, labels: np.ndarray, classes: np.ndarray) -> tuple[int, int]:
+    """Head and score top-1 hits of one forward; score column ``j`` stands for ``classes[j]``."""
+    head = np.argmax(out.logits.data, axis=1)
+    return int((head == labels).sum()), int((predict_scores(out.score.data, classes) == labels).sum())
 
 
 def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
@@ -361,7 +347,9 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
 
     ``select_k`` routes each image through zero-shot prompt selection first;
     ``select_k >= n_classes`` degenerates to the unselected path (identical
-    output, same code path). Plain batches run on a thread pool whose workers
+    output, same code path). Selection only picks each image's prompt rows
+    and the class each score column stands for; both routes count hits with
+    `_hits`. Plain batches run on a thread pool whose workers
     IVIT_THREADS caps, with OpenBLAS held at one thread while the pool runs so
     the pool is the only parallelism; selected batches run in the calling
     thread, since each is one batch-size-1 forward per image, bound by the
@@ -371,6 +359,8 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     """
     if dataset.class_names != bank.class_names:
         raise ConsistencyError("dataset and bank class lists differ")
+    if model.config.n_classes != bank.n_classes:
+        raise ConsistencyError(f"model head has {model.config.n_classes} classes, the bank {bank.n_classes}")
     if split == "train":
         batches = list(dataset.train_batches(batch_size))
     elif split == "val":
@@ -383,14 +373,18 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
         raise ValueError(f"select_k must be >= 1, got {select_k}")
 
     workers = _eval_workers()  # checked on both paths, used by the plain one
+    all_classes = np.arange(bank.n_classes)
 
     def work(batch: LabeledBatch) -> tuple[int, int]:
         # entered per batch: an errstate does not carry into the pool's threads
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 if use_selection:
-                    return _eval_batch_selected(model, batch, bank, select_k)
-                return _eval_batch_plain(model, batch, bank)
+                    runs = _selected_forwards(model, batch, bank, select_k)
+                else:
+                    runs = [(model.forward(batch.images, bank.features), batch.hard_labels, all_classes)]
+                hits = [_hits(*run) for run in runs]
+            return sum(h for h, _ in hits), sum(s for _, s in hits)
         except FloatingPointError as e:
             raise NonFiniteError(f"evaluation on the {split} split: {e}") from e
 

@@ -12,7 +12,9 @@ from ivit.config import ModelConfig
 from ivit.errors import ConfigError, ConsistencyError, ShapeError
 from ivit.gradcheck import run_model_check
 from ivit.model import ForwardOutput, InstructionModel, one_hot
+from ivit.selection import predict_scores
 from ivit.tensor import Tensor
+from ivit.trainer import _hits
 
 
 def tiny_config(n_classes=2, prompt_dim=8, **kw):
@@ -98,7 +100,6 @@ class TestForward:
         out = model.forward(images_for(model, batch=3), prompts)
         assert out.logits.shape == (3, 4)
         assert out.score.shape == (3, 6)
-        assert out.cls_feature.shape == (3, 16)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_outputs_keep_model_dtype(self, dtype):
@@ -106,7 +107,6 @@ class TestForward:
         out = model.forward(images_for(model, batch=2), prompts)
         assert out.logits.dtype == dtype
         assert out.score.dtype == dtype
-        assert out.cls_feature.dtype == dtype
 
     def test_score_bounded_by_one(self):
         model, prompts = make_model(n_prompts=5)
@@ -225,16 +225,17 @@ class TestLosses:
 
 
 class TestPredict:
+    """Top-1 hits of both routes, as `evaluate` counts them."""
+
     def test_head_argmax(self):
-        model, _ = make_model()
-        out = ForwardOutput(Tensor([[0.1, 0.9]]), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 16))))
-        assert model.predict(out, "head").tolist() == [1]
+        out = ForwardOutput(Tensor([[0.1, 0.9]]), Tensor(np.zeros((1, 2))))
+        assert _hits(out, np.array([1]), np.arange(2))[0] == 1
+        assert _hits(out, np.array([0]), np.arange(2))[0] == 0
 
     def test_tie_breaks_to_lowest_class(self):
-        model, _ = make_model()
-        out = ForwardOutput(Tensor([[0.4, 0.4]]), Tensor([[0.2, 0.2]]), Tensor(np.zeros((1, 16))))
-        assert model.predict(out, "head").tolist() == [0]
-        assert model.predict(out, "score").tolist() == [0]
+        out = ForwardOutput(Tensor([[0.4, 0.4]]), Tensor([[0.2, 0.2]]))
+        assert _hits(out, np.array([0]), np.arange(2)) == (1, 1)
+        assert _hits(out, np.array([1]), np.arange(2)) == (0, 0)
 
     def test_score_mode_scale_invariant(self):
         """Rescaling the CLS feature cannot change the cosine argmax."""
@@ -245,17 +246,11 @@ class TestPredict:
         def cosine_argmax(c):
             score = T.batched_dot(T.l2_normalize(Tensor(c), axis=1),
                                   T.l2_normalize(Tensor(prompts), axis=2))
-            return np.argmax(score.data, axis=1)
+            return predict_scores(score.data, np.arange(3))
 
         base = cosine_argmax(cls)
         for factor in (0.01, 3.0, 250.0):
             assert np.array_equal(cosine_argmax(factor * cls), base)
-
-    def test_score_mode_requires_class_alignment(self):
-        model, prompts = make_model(n_classes=4, n_prompts=2)
-        out = model.forward(images_for(model), prompts)
-        with pytest.raises(ConsistencyError, match="class-aligned"):
-            model.predict(out, "score")
 
 
 def test_full_model_gradcheck():

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivit.prompts import PromptBank, toy_image_encode
 from ivit.selection import (
     SelectionResult,
-    predict_from_selection,
+    predict_scores,
     rank_descending,
     select,
     selected_bank,
@@ -136,22 +138,55 @@ class TestSelectedBank:
         np.testing.assert_array_equal(mini[2], sel.remainder_feature)
 
     def test_remainder_excluded_from_prediction(self):
-        sel = SelectionResult(
-            kept_indices=[4, 1],
-            kept_features=np.zeros((2, 8)),
-            remainder_feature=np.zeros(8),
-            scores=np.zeros(6),
-        )
         # remainder column has the largest model score but cannot win
-        row = np.array([0.1, 0.3, 0.9], dtype=np.float32)
-        assert predict_from_selection(row, sel) == 1
+        row = np.array([[0.1, 0.3, 0.9]], dtype=np.float32)
+        assert predict_scores(row, np.array([4, 1])).tolist() == [1]
 
     def test_prediction_tie_takes_lowest_class(self):
-        sel = SelectionResult(
-            kept_indices=[5, 2, 7],
-            kept_features=np.zeros((3, 8)),
-            remainder_feature=np.zeros(8),
-            scores=np.zeros(8),
-        )
-        row = np.array([0.5, 0.5, 0.5, 0.0], dtype=np.float32)
-        assert predict_from_selection(row, sel) == 2
+        row = np.array([[0.5, 0.5, 0.5, 0.0]], dtype=np.float32)
+        assert predict_scores(row, np.array([5, 2, 7])).tolist() == [2]
+
+
+def predict_from_selection(score_row, sel):
+    """The selected route's score rule before `predict_scores`, kept as its reference."""
+    k = len(sel.kept_indices)
+    cols = score_row[:k]
+    best = cols.max()
+    candidates = [sel.kept_indices[i] for i in np.flatnonzero(cols == best)]
+    return min(candidates)
+
+
+@st.composite
+def score_rows(draw):
+    """``(score [B, P], classes [K])``: K distinct classes out of N, P = K or K + 1 (a remainder).
+
+    Half the draws snap every score to a grid of three values, so rows hold
+    tied maxima, the remainder often among them.
+    """
+    n = draw(st.integers(1, 12))
+    classes = np.array(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])
+    p = len(classes) + draw(st.integers(0, 1))
+    b = draw(st.integers(1, 5))
+    score = np.array(draw(st.lists(st.floats(-1.0, 1.0, width=32), min_size=b * p, max_size=b * p)),
+                     dtype=np.float32).reshape(b, p)
+    if draw(st.booleans()):
+        score = np.round(score)
+    return score, classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_rows())
+def test_predict_scores_matches_the_per_row_rule(case):
+    """The remainder never wins, and tied maxima go to the smallest class under any column order."""
+    score, classes = case
+    sel = SelectionResult(kept_indices=classes.tolist(), kept_features=np.zeros((len(classes), 1)),
+                          remainder_feature=None, scores=np.zeros(0))
+    assert predict_scores(score, classes).tolist() == [predict_from_selection(row, sel) for row in score]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_predict_scores_is_argmax_on_class_aligned_columns(n, b, seed):
+    score = np.random.default_rng(seed).normal(size=(b, n)).astype(np.float32)
+    score[:, ::2] = np.round(score[:, ::2])  # ties between aligned columns
+    assert np.array_equal(predict_scores(score, np.arange(n)), np.argmax(score, axis=1))

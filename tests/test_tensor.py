@@ -99,21 +99,21 @@ class TestL2Normalize:
 
 class TestCrossEntropy:
     def test_uniform_two_way(self):
-        loss = T.cross_entropy(Tensor([[0.0, 0.0]]), Tensor([[1.0, 0.0]]))
+        loss = T.cross_entropy(Tensor([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-6)
 
     def test_confident_correct_is_near_zero(self):
-        loss = T.cross_entropy(Tensor([[10.0, -10.0]]), Tensor([[1.0, 0.0]]))
+        loss = T.cross_entropy(Tensor([[10.0, -10.0]]), np.array([[1.0, 0.0]]))
         assert loss.item() < 1e-4
 
     def test_target_rows_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            T.cross_entropy(Tensor([[0.0, 0.0]]), Tensor([[0.7, 0.7]]))
+            T.cross_entropy(Tensor([[0.0, 0.0]]), np.array([[0.7, 0.7]]))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(11)
         logits = t64(rng.uniform(-1, 1, (4, 5)), requires_grad=True)
-        target = t64(rng.dirichlet(np.ones(5), size=4))
+        target = rng.dirichlet(np.ones(5), size=4)
         assert check_gradients(lambda: T.cross_entropy(logits, target), [logits]) < 1e-4
 
 
@@ -209,14 +209,6 @@ class TestBackward:
                 expected = np.swapaxes(a.data, -1, -2) @ g if batched else a.data.T @ g
                 np.testing.assert_allclose(gb, expected)
 
-    def test_cross_entropy_skips_gradient_of_a_constant_target(self):
-        logits = t64([[0.5, -0.5], [0.1, 0.2]], requires_grad=True)
-        target = t64([[1.0, 0.0], [0.0, 1.0]])
-        g = np.ones(())
-        assert T.cross_entropy(logits, target)._backward(g)[1] is None
-        target.requires_grad = True
-        assert T.cross_entropy(logits, target)._backward(g)[1].shape == (2, 2)
-
 
 class TestLinear:
     """``linear`` is ``add_bias(matmul(x, w), b)`` as one node, bit for bit."""
@@ -307,9 +299,6 @@ def test_evaluation_is_deterministic():
 def test_no_implicit_broadcasting():
     with pytest.raises(ShapeError):
         T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
-    # scalar is the sanctioned exception
-    out = T.add(Tensor(np.zeros((2, 3))), 1.5)
-    assert (out.data == 1.5).all()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -353,7 +342,7 @@ def _accepts_row_sums(row_sums, dtype) -> bool:
 
     Each target row is one entry, so its sum is that entry exactly.
     """
-    target = Tensor(np.asarray(row_sums, dtype=dtype).reshape(-1, 1), dtype=dtype)
+    target = np.asarray(row_sums, dtype=dtype).reshape(-1, 1)
     logits = Tensor(np.zeros(target.shape), dtype=dtype)
     try:
         T.cross_entropy(logits, target)
@@ -401,9 +390,9 @@ class TestRowSumCheck:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_empty_batch_accepted(self, dtype):
         # not accepted: a batch of no rows has no mean, so it is a shape error
-        empty = Tensor(np.zeros((0, 3)), dtype=dtype)
+        empty = np.zeros((0, 3), dtype=dtype)
         with pytest.raises(ShapeError, match="empty batch"):
-            T.cross_entropy(empty, empty)
+            T.cross_entropy(Tensor(empty), empty)
 
     @pytest.mark.parametrize("dtype,width", [(np.float32, 32), (np.float64, 64)])
     def test_random_row_sums_match_allclose(self, dtype, width):

@@ -22,6 +22,7 @@ from ivit.config import REGIMES, ModelConfig, TrainConfig
 from ivit.errors import ConfigError, ConsistencyError, NonFiniteError
 from ivit.model import InstructionModel
 from ivit.prompts import build_text_bank
+from ivit.selection import select, selected_bank
 from ivit.tensor import Tensor
 from ivit.trainer import (
     AdamState,
@@ -332,6 +333,28 @@ def test_no_step_graph_outlives_its_step(tmp_path, monkeypatch, select):
     assert len(history) == 2 and len(losses) == 4
 
 
+def per_image_average_loss(model, batch, bank, k, dropout_rng):
+    """The selected batch loss written per image: one term per image, then a hand-rolled average."""
+    pred_terms, score_terms = [], []
+    for i in range(len(batch)):
+        sel = select(batch.raw_images[i], bank, k)
+        out = model.forward(batch.images[i : i + 1], selected_bank(sel), dropout_rng)
+        label = int(batch.hard_labels[i])
+        pred_terms.append(model.loss_pred(out.logits, np.array([label])))
+        if label in sel.kept_indices:
+            score_terms.append(model.loss_score(out.score, np.array([sel.kept_indices.index(label)])))
+
+    def average(terms):
+        acc = tensor_mod.scale(terms[0], 1.0 / len(terms))
+        for t in terms[1:]:
+            acc = tensor_mod.add(acc, tensor_mod.scale(t, 1.0 / len(terms)))
+        return acc
+
+    pred = average(pred_terms)
+    score = average(score_terms) if score_terms else None
+    return model.combine_losses(pred, score), pred.item(), score.item() if score is not None else 0.0
+
+
 class TestSelectionInTraining:
     def test_ablation_flag_trains(self, tmp_path):
         model, data, bank = tiny_setup(tmp_path, n_classes=4, n_train=16, n_val=8)
@@ -357,6 +380,38 @@ class TestSelectionInTraining:
         with pytest.raises(ConfigError, match="mixup"):
             train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0,
                                                  mixup_alpha=0.2))
+
+    # on this data k=1 keeps no image's class, so the score term is skipped, and k=4 keeps all
+    @pytest.mark.parametrize("k,kept_labels", [(1, {False}), (2, {True, False}), (3, {True, False}),
+                                               (4, {True})])
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 2.0)])
+    def test_batch_loss_matches_the_per_image_average(self, tmp_path, k, kept_labels, weights):
+        """One loss over the batch's rows gives each row the gradient a per-image average did.
+
+        Parameter gradients agree bit for bit; the loss floats within the
+        rounding of a float32 sum over the batch.
+        """
+        _, data, bank = tiny_setup(tmp_path, n_classes=4, n_train=16, n_val=8, seed=2)
+        cfg = ModelConfig(image_size=8, patch_size=4, channels=3, dim=16, depth=1, heads=2,
+                          mlp_ratio=2.0, prompt_dim=16, n_classes=4, attn_dropout=0.1,
+                          loss_pred_weight=weights[0], loss_score_weight=weights[1])
+        model = InstructionModel(cfg, seed=1)
+        params = model.parameter_dict()
+        kept = set()  # whether each image's class survived the filter
+        for batch in data.train_batches(8, rng=np.random.default_rng(5)):
+            runs = []
+            for batch_loss in (per_image_average_loss, trainer_mod._selected_batch_loss):
+                model.zero_grad()
+                loss, pred, score = batch_loss(model, batch, bank, k, np.random.default_rng(9))
+                tensor_mod.backward(loss)
+                runs.append(((loss.item(), pred, score), {n: p.grad.copy() for n, p in params.items()}))
+            (old_values, old_grads), (new_values, new_grads) = runs
+            for name in params:
+                assert np.array_equal(new_grads[name], old_grads[name]), name
+            np.testing.assert_allclose(new_values, old_values, rtol=len(batch) * np.finfo(np.float32).eps)
+            kept |= {int(lab) in select(raw, bank, k).kept_indices
+                     for raw, lab in zip(batch.raw_images, batch.hard_labels)}
+        assert kept == kept_labels
 
     def test_requires_select_k(self, tmp_path):
         from ivit.errors import ConfigError
@@ -456,19 +511,35 @@ class TestEvaluate:
             results[threads] = (plain, selected)
         assert results["1"] == results["4"]
 
+    def test_head_class_count_must_match_the_bank(self, tmp_path):
+        _, data, bank = tiny_setup(tmp_path)
+        cfg = ModelConfig(image_size=8, patch_size=4, channels=3, dim=16, depth=1, heads=2,
+                          mlp_ratio=2.0, prompt_dim=16, n_classes=5)
+        model = InstructionModel(cfg, seed=1)
+        for select_k in (None, 1):
+            with pytest.raises(ConsistencyError, match="model head has 5 classes, the bank 2"):
+                evaluate(model, data, bank, select_k=select_k)
+        # train meets the check in its first epoch's evaluation, before any checkpoint
+        out = tmp_path / "run"
+        with pytest.raises(ConsistencyError, match="model head has 5 classes"):
+            train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, mixup_alpha=0.0),
+                  out_dir=str(out))
+        assert os.listdir(out) == []
+
     def test_selected_eval_runs_in_calling_thread(self, tmp_path, monkeypatch):
         model, data, bank = tiny_setup(tmp_path, n_classes=4)
-        threads = set()
-        inner = trainer_mod._eval_batch_selected
+        threads = []
+        inner = trainer_mod._hits
 
         def spy(*args):
-            threads.add(threading.get_ident())
+            threads.append(threading.get_ident())
             return inner(*args)
 
-        monkeypatch.setattr(trainer_mod, "_eval_batch_selected", spy)
+        monkeypatch.setattr(trainer_mod, "_hits", spy)
         monkeypatch.setenv("IVIT_THREADS", "4")
         evaluate(model, data, bank, select_k=2, split="val", batch_size=2)
-        assert threads == {threading.get_ident()}
+        # one count per image, each from its own forward
+        assert threads == [threading.get_ident()] * data.meta.n_val
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflow_raises_non_finite_error(self, tmp_path, monkeypatch, threads):
@@ -524,8 +595,8 @@ class TestEvalBlasThreads:
     def test_only_pool_workers_run_single_threaded_blas(self, tmp_path, monkeypatch,
                                                         blas_at_two_threads):
         model, data, bank = tiny_setup(tmp_path, n_classes=4)
-        seen = []  # (thread, BLAS threads, path); list.append is atomic
-        for name in ("_eval_batch_plain", "_eval_batch_selected"):
+        seen = []  # (thread, BLAS threads, name); list.append is atomic
+        for name in ("_hits", "_selected_forwards"):
             def spy(*args, inner=getattr(trainer_mod, name), path=name):
                 seen.append((threading.get_ident(), blas_at_two_threads.get_num_threads(), path))
                 return inner(*args)
@@ -538,9 +609,9 @@ class TestEvalBlasThreads:
             evaluate(model, data, bank, select_k=select_k, split="val", batch_size=2)
             return {(t == threading.get_ident(), n, path) for t, n, path in seen}
 
-        assert run("4") == {(False, 1, "_eval_batch_plain")}
-        assert run("1") == {(True, 2, "_eval_batch_plain")}
-        assert run("4", select_k=2) == {(True, 2, "_eval_batch_selected")}
+        assert run("4") == {(False, 1, "_hits")}
+        assert run("1") == {(True, 2, "_hits")}
+        assert run("4", select_k=2) == {(True, 2, "_selected_forwards"), (True, 2, "_hits")}
 
     def test_calling_thread_count_survives_evaluate_and_train(self, tmp_path, monkeypatch,
                                                               blas_at_two_threads):
