@@ -46,6 +46,16 @@ class Output(NamedTuple):
     loss: np.ndarray        # [S], the weighted sum
 
 
+def _sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, kept: ``ndarray.sum`` without its Python wrapper (``/ d`` is ``ndarray.mean``)."""
+    return np.add.reduce(x, axis=-1, keepdims=True)
+
+
+def _max(x: np.ndarray) -> np.ndarray:
+    """Max over the last axis, kept, as ``ndarray.max`` computes it."""
+    return np.maximum.reduce(x, axis=-1, keepdims=True)
+
+
 def _per_set(p: np.ndarray, ndim: int) -> np.ndarray:
     """View a parameter [S, *shape] so that it broadcasts against an ``ndim``-d activation [S, ..., *shape]."""
     return p.reshape(p.shape[:1] + (1,) * (ndim - p.ndim) + p.shape[1:])
@@ -59,18 +69,19 @@ def _linear(x: np.ndarray, params: Mapping[str, np.ndarray], name: str) -> np.nd
 
 
 def _layer_norm(x: np.ndarray, params: Mapping[str, np.ndarray], name: str) -> np.ndarray:
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    d = x.shape[-1]
+    xc = x - _sum(x) / d
+    inv = 1.0 / np.sqrt(_sum(xc * xc) / d + LN_EPS)
     return xc * inv * _per_set(params[f"{name}.gain"], x.ndim) + _per_set(params[f"{name}.bias"], x.ndim)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - _max(x))
+    return e / _sum(e)
 
 
 def _l2_normalize(x: np.ndarray) -> np.ndarray:
-    return x / (np.sqrt((x * x).sum(axis=-1, keepdims=True)) + NORM_EPS)
+    return x / (np.sqrt(_sum(x * x)) + NORM_EPS)
 
 
 def _attention(x: np.ndarray, params: Mapping[str, np.ndarray], name: str, heads: int) -> np.ndarray:
@@ -91,12 +102,6 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x * INV_SQRT2))
 
 
-def _concat_tokens(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate [S or 1, B, T_i, D] blocks along the tokens, broadcasting the set axis."""
-    s = max(p.shape[0] for p in parts)
-    return np.concatenate([np.broadcast_to(p, (s,) + p.shape[1:]) for p in parts], axis=2)
-
-
 def _targets(target, width: int) -> np.ndarray:
     """Hard labels [B] as one-hot rows, or soft rows [B, width] as given, in float64."""
     arr = np.asarray(target)
@@ -111,9 +116,9 @@ def _targets(target, width: int) -> np.ndarray:
 
 def _cross_entropy(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Mean over the batch of ``-sum(target * log_softmax(logits))``: logits [S, B, K] -> [S]."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return -(target * lsm).reshape(lsm.shape[0], -1).sum(axis=1) / lsm.shape[1]
+    z = logits - _max(logits)
+    lsm = z - np.log(_sum(np.exp(z)))
+    return -np.add.reduce((target * lsm).reshape(lsm.shape[0], -1), axis=1) / lsm.shape[1]
 
 
 def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], images: np.ndarray,
@@ -132,13 +137,18 @@ def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], images: np.ndarr
     x = images.reshape(b, cfg.channels, side, cfg.patch_size, side, cfg.patch_size)
     x = x.transpose(0, 2, 4, 1, 3, 5).reshape(1, b, cfg.n_patches, cfg.patch_dim)
     patches = _linear(x, params, "backbone.patch_embed")
-    cls = params["backbone.cls_token"]
-    cls = np.broadcast_to(cls[:, None], (cls.shape[0], b) + cls.shape[1:])
-    x = _concat_tokens([cls, patches]) + _per_set(params["backbone.pos_embed"], 4)
+    cls, pos = params["backbone.cls_token"], params["backbone.pos_embed"]
     n_prompts = 0 if prompts is None else len(prompts)
-    if n_prompts:
-        rows = _linear(np.asarray(prompts, dtype=np.float64)[None], params, "prompt_embed")
-        x = _concat_tokens([x, np.broadcast_to(rows[:, None], (rows.shape[0], b) + rows.shape[1:])])
+    rows = (_linear(np.asarray(prompts, dtype=np.float64)[None], params, "prompt_embed") if n_prompts
+            else np.empty((1, 0, cfg.dim)))
+    # [CLS | patches] + positions, then the prompt rows, written into one
+    # [S, B, T, D] block; each assignment broadcasts the set and batch axes
+    n = 1 + cfg.n_patches
+    x = np.empty((max(a.shape[0] for a in (cls, patches, pos, rows)), b, n + n_prompts, cfg.dim))
+    x[:, :, :1] = cls[:, None]
+    x[:, :, 1:n] = patches
+    x[:, :, :n] += pos[:, None]
+    x[:, :, n:] = rows[:, None]
 
     for i in range(cfg.depth):
         name = f"backbone.blocks.{i}"

@@ -225,6 +225,11 @@ def apply_freeze(model: InstructionModel, regime: str) -> tuple[dict[str, Tensor
     return trainable, n_train, n_total
 
 
+def _check_head(model: InstructionModel, bank: PromptBank) -> None:
+    if model.config.n_classes != bank.n_classes:
+        raise ConsistencyError(f"model head has {model.config.n_classes} classes, the bank {bank.n_classes}")
+
+
 def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
           cfg: TrainConfig, out_dir: str | None = None,
           stop_at_head_top1: float | None = None) -> list[EpochMetrics]:
@@ -245,6 +250,7 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
         raise ConsistencyError(
             f"dataset classes {dataset.class_names[:4]}... do not match bank classes {bank.class_names[:4]}..."
         )
+    _check_head(model, bank)
     _eval_workers()  # a bad IVIT_THREADS fails here, not at the first epoch's eval
 
     from .checkpoint import save_checkpoint  # deferred: checkpoint imports config
@@ -359,8 +365,7 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     """
     if dataset.class_names != bank.class_names:
         raise ConsistencyError("dataset and bank class lists differ")
-    if model.config.n_classes != bank.n_classes:
-        raise ConsistencyError(f"model head has {model.config.n_classes} classes, the bank {bank.n_classes}")
+    _check_head(model, bank)
     if split == "train":
         batches = list(dataset.train_batches(batch_size))
     elif split == "val":

@@ -516,6 +516,7 @@ class TestGradcheckCommand:
         assert code == 0
         assert "gradcheck passed" in out
         assert "full_model" in out
+        assert re.search(r"^forward_vs_reference +max_abs_diff=0\.000e\+00  ok$", out, re.M)
 
     def test_corrupted_gradient_names_the_op(self, capsys, monkeypatch):
         true_softmax = T.softmax
@@ -531,6 +532,25 @@ class TestGradcheckCommand:
         code, out, err = run(capsys, "gradcheck", "--seed", "0")
         assert code == 1
         assert "softmax" in err
+
+    def test_wrong_forward_names_the_reference_comparison(self, capsys, monkeypatch):
+        """A tanh gelu with its own derivative: every gradient check passes, the forward does not."""
+
+        def tanh_gelu(x):
+            xd = x.data
+            c = math.sqrt(2.0 / math.pi)
+            th = np.tanh(c * (xd + 0.044715 * xd ** 3))
+
+            def bw(g):
+                return (g * (0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * c * (1.0 + 3 * 0.044715 * xd ** 2)),)
+
+            return T._result(0.5 * xd * (1.0 + th), (x,), bw)
+
+        monkeypatch.setattr(T, "gelu", tanh_gelu)
+        code, out, err = run(capsys, "gradcheck", "--seed", "0")
+        assert code == 1
+        assert err == "gradcheck failed for: forward_vs_reference\n"
+        assert re.search(r"^forward_vs_reference +max_abs_diff=\S+  FAIL$", out, re.M)
 
     def test_deterministic_output(self, capsys):
         a = run(capsys, "gradcheck", "--seed", "3")

@@ -512,6 +512,7 @@ PINNED_SUITE_ERRORS = {
         "cross_entropy": 6.179957869468569e-11,
         "linear": 1.8655076874064422e-11,
         "full_model": 1.2190392652443717e-07,
+        "forward_vs_reference": 0.0,
     },
     1: {
         "matmul": 5.536227597384693e-12,
@@ -533,6 +534,7 @@ PINNED_SUITE_ERRORS = {
         "cross_entropy": 1.1358583036103257e-10,
         "linear": 6.215418779122619e-11,
         "full_model": 4.7315421899225194e-08,
+        "forward_vs_reference": 0.0,
     },
     4: {
         "matmul": 2.67894096566914e-11,
@@ -554,6 +556,7 @@ PINNED_SUITE_ERRORS = {
         "cross_entropy": 9.94032476885953e-11,
         "linear": 4.4811641794539997e-11,
         "full_model": 1.1102230259804091e-05,
+        "forward_vs_reference": 0.0,
     },
     67: {
         "matmul": 1.5461917378231704e-11,
@@ -575,6 +578,7 @@ PINNED_SUITE_ERRORS = {
         "cross_entropy": 1.5703444546641277e-10,
         "linear": 2.996394459601239e-11,
         "full_model": 1.1102230137831346e-05,
+        "forward_vs_reference": 0.0,
     },
     101: {
         "matmul": 1.6775945301213142e-11,
@@ -596,6 +600,7 @@ PINNED_SUITE_ERRORS = {
         "cross_entropy": 5.734574953979435e-11,
         "linear": 1.1509424008493372e-11,
         "full_model": 1.110223033434299e-05,
+        "forward_vs_reference": 0.0,
     },
 }
 

@@ -519,12 +519,27 @@ class TestEvaluate:
         for select_k in (None, 1):
             with pytest.raises(ConsistencyError, match="model head has 5 classes, the bank 2"):
                 evaluate(model, data, bank, select_k=select_k)
-        # train meets the check in its first epoch's evaluation, before any checkpoint
+
+    @pytest.mark.parametrize("mixup_alpha", [0.0, 0.4])
+    def test_train_checks_the_head_class_count_before_its_first_step(self, tmp_path, monkeypatch, mixup_alpha):
+        _, data, bank = tiny_setup(tmp_path)
+        cfg = ModelConfig(image_size=8, patch_size=4, channels=3, dim=16, depth=1, heads=2,
+                          mlp_ratio=2.0, prompt_dim=16, n_classes=5)
+        steps = []
+        step = trainer_mod._train_step
+
+        def spy(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(trainer_mod, "_train_step", spy)
         out = tmp_path / "run"
-        with pytest.raises(ConsistencyError, match="model head has 5 classes"):
-            train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, mixup_alpha=0.0),
+        with pytest.raises(ConsistencyError, match="model head has 5 classes, the bank 2"):
+            train(InstructionModel(cfg, seed=1), data, bank,
+                  TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, mixup_alpha=mixup_alpha),
                   out_dir=str(out))
-        assert os.listdir(out) == []
+        assert steps == []
+        assert not out.exists()
 
     def test_selected_eval_runs_in_calling_thread(self, tmp_path, monkeypatch):
         model, data, bank = tiny_setup(tmp_path, n_classes=4)
