@@ -5,7 +5,7 @@ Subcommands: gen-data, build-bank, train, eval, gradcheck.
 Exit codes (stable contract):
     0  success
     1  check failure (gradcheck found a bad gradient)
-    2  argument error
+    2  argument error, a size too large to allocate included
     3  I/O or file-format error
     4  consistency error (data/bank/checkpoint/config disagree)
     5  non-finite arithmetic: training diverged (nothing more is written) or
@@ -200,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ARGS
+    except MemoryError as e:  # numpy's names the array it could not allocate
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_ARGS
     except NonFiniteError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -104,26 +104,39 @@ def generate_synthetic(out_dir, n_classes: int, n_train: int, n_val: int,
                        noise_std: float = NOISE_STD) -> DatasetMeta:
     """Write a complete dataset directory; fully deterministic per seed.
 
-    Counts, size and channels must be positive and ``noise_std`` finite and
+    Counts, size and channels must be positive, ``n_classes`` at most
+    ``n_train`` (labels go round-robin, so a class past the train split's
+    length would have no training image), and ``noise_std`` finite and
     non-negative; a bad value raises ``ValueError`` before anything is rendered.
+    Pixels that overflow float32 or that are all equal cannot be normalized,
+    so they raise ``ValueError`` before anything is written.
     """
     for name, value in (("n_classes", n_classes), ("n_train", n_train), ("n_val", n_val),
                         ("image_size", image_size), ("channels", channels)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
+    if n_classes > n_train:
+        raise ValueError(f"n_classes {n_classes} exceeds n_train {n_train}: every class needs a training image")
     if not (math.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     shape = (channels, image_size, image_size)
     train_labels = (np.arange(n_train) % n_classes).astype(np.uint32)
     val_labels = (np.arange(n_val) % n_classes).astype(np.uint32)
-    train_images = _render_split(seed, 0, train_labels, shape, noise_std)
-    val_images = _render_split(seed, 1, val_labels, shape, noise_std)
+    # a pixel past float32's range casts to inf, which makes its split's sum non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_images = _render_split(seed, 0, train_labels, shape, noise_std)
+        val_images = _render_split(seed, 1, val_labels, shape, noise_std)
+        mean = float(train_images.mean(dtype=np.float64))
+        std = float(train_images.std(dtype=np.float64))
+        val_sum = float(val_images.sum(dtype=np.float64))
+    if not (math.isfinite(mean) and math.isfinite(val_sum)):
+        raise ValueError(f"noise_std {noise_std} overflows float32 pixels")
+    if std == 0.0:
+        raise ValueError("the train pixels are all equal, so they cannot be normalized")
     meta = DatasetMeta(
         n_classes=n_classes, n_train=n_train, n_val=n_val,
         image_size=image_size, channels=channels, seed=seed,
-        mean=float(train_images.mean(dtype=np.float64)),
-        std=float(train_images.std(dtype=np.float64)),
-        class_names=tuple(default_class_names(n_classes)),
+        mean=mean, std=std, class_names=tuple(default_class_names(n_classes)),
     )
     SyntheticDataset(meta, train_images, train_labels, val_images, val_labels).save(out_dir)
     return meta
@@ -214,7 +227,7 @@ class SyntheticDataset:
         return self.meta.n_classes
 
     def normalize(self, raw: np.ndarray) -> np.ndarray:
-        return ((raw - self.meta.mean) / self.meta.std).astype(np.float32)
+        return ((raw - self.meta.mean) / self.meta.std).astype(np.float32, copy=False)
 
     def _batch(self, images, labels, idx: np.ndarray) -> LabeledBatch:
         raw = images[idx]
@@ -241,7 +254,9 @@ class SyntheticDataset:
         """Write the dataset directory; a loaded dataset re-saves byte-identically.
 
         Each file is replaced atomically, but the directory as a whole is not:
-        a failure part-way can leave new files next to old ones.
+        a failure part-way can leave new files next to old ones. An array
+        already in its file's dtype and layout is written as it lies, without
+        a copy.
         """
         os.makedirs(out_dir, exist_ok=True)
         _write_meta(os.path.join(out_dir, "meta.txt"), self.meta)
@@ -249,7 +264,7 @@ class SyntheticDataset:
                                ("train_labels", self.train_labels, "<u4"),
                                ("val_images", self.val_images, "<f4"),
                                ("val_labels", self.val_labels, "<u4")):
-            write_atomic(os.path.join(out_dir, f"{name}.bin"), arr.astype(fmt))
+            write_atomic(os.path.join(out_dir, f"{name}.bin"), np.ascontiguousarray(arr, dtype=fmt))
 
 
 def load(path) -> SyntheticDataset:

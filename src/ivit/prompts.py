@@ -147,6 +147,34 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / (np.linalg.norm(v) + T.NORM_EPS)
 
 
+def _encode_texts(texts: list[str], dim: int) -> np.ndarray:
+    """`toy_text_encode` of every text -> [S, dim] float32.
+
+    Each distinct trigram is hashed once per call (a bank's 960 sentences
+    hold about 500 of them among 23,000), and the signed counts are filled by
+    one ``np.add.at``. The counts are small integers, so their sum of squares
+    is exact in any order and each row's norm equals ``np.linalg.norm``'s.
+    """
+    buckets: dict[str, tuple[int, float]] = {}
+    rows, cols, signs = [], [], []
+    for r, text in enumerate(texts):
+        low = text.lower()
+        for i in range(len(low) - 2):
+            trigram = low[i : i + 3]
+            hit = buckets.get(trigram)
+            if hit is None:
+                digest = hashlib.blake2b(trigram.encode("utf-8"), digest_size=8).digest()
+                h = int.from_bytes(digest, "little")
+                hit = buckets[trigram] = ((h >> 1) % dim, 1.0 if h & 1 == 0 else -1.0)
+            rows.append(r)
+            cols.append(hit[0])
+            signs.append(hit[1])
+    counts = np.zeros((len(texts), dim), dtype=np.float64)
+    np.add.at(counts, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), signs)
+    norms = np.sqrt((counts * counts).sum(axis=1, keepdims=True))
+    return (counts / (norms + T.NORM_EPS)).astype(np.float32)
+
+
 def toy_text_encode(text: str, dim: int) -> np.ndarray:
     """Deterministic text feature: signed character-trigram hashing, unit norm.
 
@@ -154,14 +182,7 @@ def toy_text_encode(text: str, dim: int) -> np.ndarray:
     maps to the same vector across processes. Strings shorter than three
     characters encode to zero.
     """
-    vec = np.zeros(dim, dtype=np.float64)
-    low = text.lower()
-    for i in range(len(low) - 2):
-        digest = hashlib.blake2b(low[i : i + 3].encode("utf-8"), digest_size=8).digest()
-        h = int.from_bytes(digest, "little")
-        sign = 1.0 if h & 1 == 0 else -1.0
-        vec[(h >> 1) % dim] += sign
-    return _unit(vec).astype(np.float32)
+    return _encode_texts([text], dim)[0]
 
 
 def _grid_pool(img: np.ndarray) -> np.ndarray:
@@ -205,10 +226,12 @@ def build_text_bank(class_names: list[str], dim: int) -> PromptBank:
     if not class_names:
         raise ValueError("need at least one class")
     _check_width(dim)
+    per_class = len(DEFAULT_TEMPLATES)
+    encoded = _encode_texts([s for name in class_names for s in render_templates(name)], dim)
     rows = np.empty((len(class_names), dim), dtype=np.float32)
-    for i, name in enumerate(class_names):
-        encoded = np.stack([toy_text_encode(s, dim) for s in render_templates(name)])
-        rows[i] = _unit(encoded.mean(axis=0).astype(np.float64)).astype(np.float32)
+    for i in range(len(class_names)):
+        mean = encoded[i * per_class : (i + 1) * per_class].mean(axis=0)
+        rows[i] = _unit(mean.astype(np.float64)).astype(np.float32)
     return PromptBank(list(class_names), rows, "text")
 
 

@@ -29,7 +29,6 @@ import math
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 from .config import ModelConfig
 
@@ -99,6 +98,7 @@ def _attention(x: np.ndarray, params: Mapping[str, np.ndarray], name: str, heads
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # here, so that importing ivit does not load scipy
     return 0.5 * x * (1.0 + erf(x * INV_SQRT2))
 
 

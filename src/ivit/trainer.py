@@ -359,7 +359,9 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     IVIT_THREADS caps, with OpenBLAS held at one thread while the pool runs so
     the pool is the only parallelism; selected batches run in the calling
     thread, since each is one batch-size-1 forward per image, bound by the
-    interpreter, and threads would only contend for the GIL. A floating-point
+    interpreter, and threads would only contend for the GIL. Batches are made
+    as they are used: the selected path holds one at a time, and the pool is
+    handed every batch up front, as ``Executor.map`` submits. A floating-point
     overflow, invalid value or division by zero in any batch raises
     ``NonFiniteError``.
     """
@@ -367,9 +369,9 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
         raise ConsistencyError("dataset and bank class lists differ")
     _check_head(model, bank)
     if split == "train":
-        batches = list(dataset.train_batches(batch_size))
+        batches, n = dataset.train_batches(batch_size), dataset.meta.n_train
     elif split == "val":
-        batches = list(dataset.val_batches(batch_size))
+        batches, n = dataset.val_batches(batch_size), dataset.meta.n_val
     else:
         raise ValueError(f"unknown split {split!r}")
 
@@ -393,13 +395,12 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
         except FloatingPointError as e:
             raise NonFiniteError(f"evaluation on the {split} split: {e}") from e
 
-    if workers > 1 and len(batches) > 1 and not use_selection:
+    if workers > 1 and n > batch_size and not use_selection:
         with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, batches))
     else:
         results = [work(b) for b in batches]
 
-    n = sum(len(b) for b in batches)
     head = sum(r[0] for r in results)
     score = sum(r[1] for r in results)
     return EvalMetrics(head_top1=head / n, score_top1=score / n, n_samples=n)

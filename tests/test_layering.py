@@ -6,7 +6,8 @@ from the prompt module, and the modules that produce frozen data never name
 the autograd `Tensor`. The bank and checkpoint formats read their bytes only
 through the shared `_binfile.Reader`, so neither grows its own offset logic.
 The reference forward imports only the config, so it can be an oracle for
-the model.
+the model. scipy serves only the float64 erf, so no module imports it at
+module level, and a float32 process never loads it.
 """
 
 import ast
@@ -93,3 +94,26 @@ def test_gradcheck_imports_only_at_module_level():
     imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert all(n in tree.body for n in imports)
     assert imports_module(tree, "reference")
+
+
+def module_level_imports(tree: ast.Module) -> list[ast.stmt]:
+    """Every import outside a function body: at the top, or under a module-level ``if``, ``try`` or class."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(m.stem for m in SRC.glob("*.py")))
+def test_scipy_is_imported_only_inside_functions(module):
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        return [node.module or ""] if node.level == 0 else []
+
+    top = [n for node in module_level_imports(parse(module)) for n in names(node)]
+    assert not [n for n in top if n.split(".")[0] == "scipy"]
