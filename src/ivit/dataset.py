@@ -208,6 +208,11 @@ def _read_exact(path, dtype, count: int) -> np.ndarray:
     return np.fromfile(path, dtype=dtype, count=count)
 
 
+def check_batch_size(batch_size) -> None:
+    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+
+
 class SyntheticDataset:
     """In-memory dataset with seeded shuffled train batches and ordered val batches."""
 
@@ -235,8 +240,7 @@ class SyntheticDataset:
                             raw_images=raw)
 
     def _batches(self, images, labels, batch_size: int, order: np.ndarray) -> Iterator[LabeledBatch]:
-        if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
-            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+        check_batch_size(batch_size)
         return (self._batch(images, labels, order[start : start + batch_size])
                 for start in range(0, labels.size, batch_size))
 
@@ -268,6 +272,7 @@ class SyntheticDataset:
 
 
 def load(path) -> SyntheticDataset:
+    """Read a dataset directory; a malformed or damaged file, a non-finite pixel included, is a `FormatError`."""
     meta_path = os.path.join(path, "meta.txt")
     if not os.path.exists(meta_path):
         raise FileNotFoundError(f"no meta.txt under {path}")
@@ -278,6 +283,10 @@ def load(path) -> SyntheticDataset:
     train_labels = _read_exact(os.path.join(path, "train_labels.bin"), "<u4", meta.n_train)
     val_images = _read_exact(os.path.join(path, "val_images.bin"), "<f4", meta.n_val * pixel)
     val_labels = _read_exact(os.path.join(path, "val_labels.bin"), "<u4", meta.n_val)
+    for tag, images in (("train", train_images), ("val", val_images)):
+        # max and min carry a NaN through, so both are finite iff every pixel is
+        if not (math.isfinite(images.max()) and math.isfinite(images.min())):
+            raise FormatError(f"{tag}_images.bin holds a pixel that is not finite")
     for tag, labels in (("train", train_labels), ("val", val_labels)):
         if labels.size and labels.max() >= meta.n_classes:
             raise FormatError(

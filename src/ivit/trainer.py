@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import _blas
 from . import tensor as T
 from ._atomic import write_atomic
 from .config import TrainConfig
-from .dataset import LabeledBatch, SyntheticDataset
+from .dataset import LabeledBatch, SyntheticDataset, check_batch_size
 from .errors import ConfigError, ConsistencyError, NonFiniteError, ShapeError
 from .model import ForwardOutput, InstructionModel, one_hot
 from .prompts import PromptBank
@@ -302,7 +302,7 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
             for name, p in trainable.items():
                 if not np.isfinite(p.data).all():
                     raise NonFiniteError(f"epoch {epoch}: parameter {name} is not finite")
-            ev = evaluate(model, dataset, bank, split="train", batch_size=cfg.batch_size)
+            ev = evaluate(model, dataset, bank, split="train")
             metrics = EpochMetrics(
                 epoch=epoch,
                 loss_pred=sums["pred"] / n_batches,
@@ -344,6 +344,23 @@ def _hits(out: ForwardOutput, labels: np.ndarray, classes: np.ndarray) -> tuple[
     return int((head == labels).sum()), int((predict_scores(out.score.data, classes) == labels).sum())
 
 
+def _pooled(work, shards, workers: int) -> list:
+    """``work`` over ``shards`` on ``workers`` threads; the next shard is made only once a worker is free."""
+    results, pending = [], set()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        while True:
+            if len(pending) == workers:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                results += [f.result() for f in done]
+            shard = next(shards, None)
+            if shard is None:
+                break
+            pending.add(pool.submit(work, shard))
+            del shard  # the pool holds it until its result is in
+        results += [f.result() for f in pending]
+    return results
+
+
 def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
              select_k: int | None = None, split: str = "val", batch_size: int = 64) -> EvalMetrics:
     """Top-1 accuracy of both prediction routes over one split, with ``bank`` as the prompts.
@@ -355,31 +372,44 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     ``select_k >= n_classes`` degenerates to the unselected path (identical
     output, same code path). Selection only picks each image's prompt rows
     and the class each score column stands for; both routes count hits with
-    `_hits`. Plain batches run on a thread pool whose workers
-    IVIT_THREADS caps, with OpenBLAS held at one thread while the pool runs so
-    the pool is the only parallelism; selected batches run in the calling
-    thread, since each is one batch-size-1 forward per image, bound by the
-    interpreter, and threads would only contend for the GIL. Batches are made
-    as they are used: the selected path holds one at a time, and the pool is
-    handed every batch up front, as ``Executor.map`` submits. A floating-point
-    overflow, invalid value or division by zero in any batch raises
-    ``NonFiniteError``.
+    `_hits`.
+
+    ``batch_size`` bounds the images held at once, whatever IVIT_THREADS is.
+    Plain evaluation cuts the split into contiguous shards of
+    ``ceil(batch_size / workers)`` images, IVIT_THREADS capping the workers,
+    and runs them on a thread pool with OpenBLAS held at one thread, so the
+    pool is the only parallelism. A shard is made only once a worker is
+    free, so at most ``workers`` shards are held. Groupings that are not a
+    multiple of 16 images can move logits in the last float32 bits, since
+    OpenBLAS picks another kernel: on the benchmark's eval model, shards of
+    21 and of 1 image moved head logits by up to 3.6e-7, shards of 8, 16,
+    22 and 32 by nothing. With one worker, or a split no larger than one
+    shard, the batches run in the calling thread.
+
+    Selected evaluation runs in the calling thread whatever the cap, one
+    ``batch_size`` batch at a time: each image is its own batch-size-1
+    forward, bound by the interpreter. Pooled on 2 threads, the benchmark's
+    eval_select took 1.91–2.13 s against 1.16–1.27 s in the calling thread
+    (2-core Xeon, OpenBLAS 0.3.31). A floating-point overflow, invalid value
+    or division by zero in any batch raises ``NonFiniteError``.
     """
     if dataset.class_names != bank.class_names:
         raise ConsistencyError("dataset and bank class lists differ")
     _check_head(model, bank)
     if split == "train":
-        batches, n = dataset.train_batches(batch_size), dataset.meta.n_train
+        batches, n = dataset.train_batches, dataset.meta.n_train
     elif split == "val":
-        batches, n = dataset.val_batches(batch_size), dataset.meta.n_val
+        batches, n = dataset.val_batches, dataset.meta.n_val
     else:
         raise ValueError(f"unknown split {split!r}")
+    check_batch_size(batch_size)
 
     use_selection = select_k is not None and select_k < bank.n_classes
     if use_selection and select_k < 1:
         raise ValueError(f"select_k must be >= 1, got {select_k}")
 
     workers = _eval_workers()  # checked on both paths, used by the plain one
+    shard_size = -(-int(batch_size) // workers)
     all_classes = np.arange(bank.n_classes)
 
     def work(batch: LabeledBatch) -> tuple[int, int]:
@@ -395,11 +425,11 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
         except FloatingPointError as e:
             raise NonFiniteError(f"evaluation on the {split} split: {e}") from e
 
-    if workers > 1 and n > batch_size and not use_selection:
-        with _blas.single_threaded(), ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, batches))
+    if workers > 1 and n > shard_size and not use_selection:
+        with _blas.single_threaded():
+            results = _pooled(work, batches(shard_size), workers)
     else:
-        results = [work(b) for b in batches]
+        results = [work(b) for b in batches(batch_size)]
 
     head = sum(r[0] for r in results)
     score = sum(r[1] for r in results)

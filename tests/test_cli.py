@@ -244,6 +244,22 @@ def test_bank_non_finite_feature_exits_3(tmp_path, data_dir, bank_path, capsys):
     assert (code, out, err) == (3, "", "error: bank features hold non-finite values\n")
 
 
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("command", ["train", "build-bank"])
+def test_non_finite_pixel_exits_3_naming_the_file(tmp_path, data_dir, bank_path, capsys, command, split):
+    path = data_dir / f"{split}_images.bin"
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = struct.pack("<f", np.nan)  # the last pixel of the split's last image
+    path.write_bytes(bytes(blob))
+    if command == "train":
+        args = ["--bank", str(bank_path), "--config", str(fast_config(tmp_path)), "--out", str(tmp_path / "run")]
+    else:
+        args = ["--modality", "image", "--dim", "16", "--out", str(tmp_path / "image.ivpb")]
+    code, out, err = run(capsys, command, "--data", str(data_dir), *args)
+    assert (code, out, err) == (3, "", f"error: {split}_images.bin holds a pixel that is not finite\n")
+    assert not (tmp_path / "run").exists() and not (tmp_path / "image.ivpb").exists()
+
+
 class TestTrainEval:
     def test_train_then_eval_reproduces_final_metrics(self, tmp_path, data_dir, bank_path, capsys):
         run_dir = tmp_path / "run"

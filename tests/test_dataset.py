@@ -81,6 +81,25 @@ class TestLoader:
         with pytest.raises(FormatError, match="99"):
             ds.load(out)
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_is_a_format_error_naming_the_file(self, tmp_path, split, value):
+        out, _ = gen(tmp_path)
+        pixels = np.fromfile(out / f"{split}_images.bin", dtype="<f4")
+        pixels[5] = value
+        pixels.tofile(out / f"{split}_images.bin")
+        with pytest.raises(FormatError, match=f"^{split}_images.bin holds a pixel that is not finite$"):
+            ds.load(out)
+
+    def test_pixels_at_the_float32_limits_load(self, tmp_path):
+        out, _ = gen(tmp_path)
+        pixels = np.fromfile(out / "train_images.bin", dtype="<f4")
+        big = np.finfo(np.float32).max
+        pixels[:] = np.where(np.arange(pixels.size) % 2, big, -big)
+        pixels[-3:] = big  # a float32 sum of these would overflow
+        pixels.tofile(out / "train_images.bin")
+        assert np.array_equal(ds.load(out).train_images.reshape(-1), pixels)
+
     def test_missing_file(self, tmp_path):
         out, _ = gen(tmp_path)
         os.remove(out / "val_labels.bin")

@@ -3,9 +3,10 @@
 scipy backs only the float64 erf (the gradient check and the reference
 forward), so a fresh interpreter that imports ivit, trains and evaluates a
 float32 model never imports ``scipy.special``. Saving a dataset writes each
-split as it lies in memory, and an evaluation makes the split's batches as it
-uses them; both are pinned through `tracemalloc`, which counts numpy's
-buffers, rather than through a timing.
+split as it lies in memory, an evaluation makes the split's batches as it
+uses them, and its ``batch_size`` bounds what it holds however many pool
+workers split each batch; all three are pinned through `tracemalloc`, which
+counts numpy's buffers, rather than through a timing.
 """
 
 import hashlib
@@ -116,3 +117,39 @@ def test_selected_evaluate_holds_one_batch_of_the_split_at_a_time(tmp_path):
         tracemalloc.stop()
     assert metrics.n_samples == 256
     assert peak < data.val_images.nbytes  # the normalized split's size, 786,432 bytes
+
+
+def _peak_of(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_pooled_evaluate_makes_each_shard_once_a_worker_is_free(tmp_path, monkeypatch):
+    ds.generate_synthetic(tmp_path / "d", n_classes=4, n_train=4, n_val=256, image_size=16, seed=2)
+    data = ds.load(tmp_path / "d")
+    bank = build_text_bank(data.class_names, 8)
+    model = InstructionModel(ModelConfig(image_size=16, patch_size=8, dim=8, depth=1, heads=2, mlp_ratio=2.0,
+                                         prompt_dim=8, n_classes=4))
+    monkeypatch.setenv("IVIT_THREADS", "2")
+    assert evaluate(model, data, bank, batch_size=32).n_samples == 256
+    # two shards of 16 in flight hold 2 x 16 x 3,072 bytes of raw pixels and as much normalized
+    assert _peak_of(lambda: evaluate(model, data, bank, batch_size=32)) < data.val_images.nbytes
+
+
+def test_pooled_evaluate_holds_what_one_thread_holds(tmp_path, monkeypatch):
+    # 16 prompt tokens of 33, so the recorded graph, not the pixels, fills the peak, as on eval_plain
+    ds.generate_synthetic(tmp_path / "d", n_classes=16, n_train=16, n_val=128, image_size=16, seed=4)
+    data = ds.load(tmp_path / "d")
+    bank = build_text_bank(data.class_names, 16)
+    model = InstructionModel(ModelConfig(image_size=16, patch_size=4, dim=32, depth=1, heads=2, mlp_ratio=2.0,
+                                         prompt_dim=16, n_classes=16))
+    peaks = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("IVIT_THREADS", threads)
+        peaks[threads] = _peak_of(lambda: evaluate(model, data, bank, batch_size=32))
+    assert peaks["2"] <= 1.15 * peaks["1"], peaks

@@ -501,7 +501,7 @@ class TestEvaluate:
         assert 0.0 <= metrics.score_top1 <= 1.0
 
     def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        # batch_size 2 gives four val batches, so the plain path uses the pool
+        # batch_size 2 over 8 val images makes more than one shard, so the plain path uses the pool
         model, data, bank = tiny_setup(tmp_path, n_classes=4)
         results = {}
         for threads in ("1", "4"):
@@ -510,6 +510,54 @@ class TestEvaluate:
             selected = evaluate(model, data, bank, select_k=2, split="val", batch_size=2)
             results[threads] = (plain, selected)
         assert results["1"] == results["4"]
+
+    @pytest.mark.parametrize("threads, batch_size, forwards", [
+        ("1", 7, [7] * 5 + [5]),
+        ("2", 7, [4] * 10),
+        ("3", 7, [3] * 13 + [1]),
+        ("4", 12, [3] * 13 + [1]),
+        ("4", 64, [16, 16, 8]),
+        ("2", 80, [40]),
+    ])
+    def test_the_pool_splits_each_batch_into_ceil_batch_size_over_workers(self, tmp_path, monkeypatch,
+                                                                         threads, batch_size, forwards):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4, n_val=40)
+        seen = []  # (images, ran on a pool thread); list.append is atomic
+        inner = trainer_mod._hits
+
+        def spy(out, labels, classes):
+            seen.append((len(labels), threading.get_ident() != threading.main_thread().ident))
+            return inner(out, labels, classes)
+
+        monkeypatch.setattr(trainer_mod, "_hits", spy)
+        monkeypatch.setenv("IVIT_THREADS", threads)
+        evaluate(model, data, bank, split="val", batch_size=batch_size)
+        # one worker, or a split no larger than one shard, runs in the calling thread
+        pooled = len(forwards) > 1 and threads != "1"
+        assert sorted(seen) == sorted((n, pooled) for n in forwards)
+
+    def test_the_per_epoch_eval_runs_at_evaluates_default_batch_size(self, tmp_path, monkeypatch):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4, n_train=16)
+        seen = []
+        inner = trainer_mod._hits
+
+        def spy(out, labels, classes):
+            seen.append(len(labels))
+            return inner(out, labels, classes)
+
+        monkeypatch.setattr(trainer_mod, "_hits", spy)
+        monkeypatch.setenv("IVIT_THREADS", "1")
+        train(model, data, bank, TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, mixup_alpha=0.0))
+        assert seen == [16, 16]  # one forward of the whole split per epoch, not four of the step's 4
+
+    @pytest.mark.parametrize("batch_size", [12, 7])
+    def test_metrics_are_the_same_for_every_thread_cap(self, tmp_path, monkeypatch, batch_size):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4, n_val=40, noise_std=0.5)
+        results = []
+        for threads in "1234":
+            monkeypatch.setenv("IVIT_THREADS", threads)
+            results.append(evaluate(model, data, bank, split="val", batch_size=batch_size))
+        assert results == [results[0]] * 4
 
     def test_head_class_count_must_match_the_bank(self, tmp_path):
         _, data, bank = tiny_setup(tmp_path)
@@ -558,7 +606,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflow_raises_non_finite_error(self, tmp_path, monkeypatch, threads):
-        # four val batches, so "2" runs them on the pool, whose threads start with numpy's defaults
+        # eight shards of one image, so "2" runs them on the pool, whose threads start with numpy's defaults
         model, data, bank = tiny_setup(tmp_path, n_classes=4)
         model.backbone.blocks[0].fc1.weight.data[...] = 1e30
         monkeypatch.setenv("IVIT_THREADS", threads)
@@ -630,11 +678,11 @@ class TestEvalBlasThreads:
 
     def test_calling_thread_count_survives_evaluate_and_train(self, tmp_path, monkeypatch,
                                                               blas_at_two_threads):
-        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        model, data, bank = tiny_setup(tmp_path, n_classes=4, n_train=32)
         monkeypatch.setenv("IVIT_THREADS", "4")
         evaluate(model, data, bank, split="val", batch_size=2)
         assert blas_at_two_threads.get_num_threads() == 2
-        # batch_size 2 sends the per-epoch eval through the pool as well
+        # 32 train images make two shards of ceil(64 / 4), so the per-epoch eval runs on the pool as well
         train(model, data, bank, TrainConfig(epochs=1, batch_size=2, warmup_epochs=0,
                                              mixup_alpha=0.0))
         assert blas_at_two_threads.get_num_threads() == 2
