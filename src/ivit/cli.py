@@ -158,6 +158,8 @@ def cmd_eval(args) -> int:
         raise ConsistencyError(
             f"checkpoint expects {cfg.n_classes} classes, dataset has {data.n_classes}"
         )
+    for _, p in model.named_parameters():
+        p.requires_grad = False  # no backward follows, so the forwards record no graph
     metrics = evaluate(model, data, bank, select_k=args.select_k, split=args.split)
     print(f"head_top1={metrics.head_top1:.6g} score_top1={metrics.score_top1:.6g}")
     return EXIT_OK

@@ -245,6 +245,11 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     ends training early once the train-split accuracy reaches the threshold
     (used by smoke tests). numpy's OpenBLAS is held at one thread for the
     whole epoch loop (see `_blas`), and its previous count comes back after.
+
+    The per-epoch evaluation runs with every parameter at
+    ``requires_grad=False``, so it records no graph and holds activations
+    only. However `train` returns or raises, each parameter's flag is then
+    what `apply_freeze` set for ``cfg.regime``.
     """
     if dataset.class_names != bank.class_names:
         raise ConsistencyError(
@@ -302,7 +307,14 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
             for name, p in trainable.items():
                 if not np.isfinite(p.data).all():
                     raise NonFiniteError(f"epoch {epoch}: parameter {name} is not finite")
-            ev = evaluate(model, dataset, bank, split="train")
+            # no backward reads this pass, so its forwards record no graph
+            for p in trainable.values():
+                p.requires_grad = False
+            try:
+                ev = evaluate(model, dataset, bank, split="train")
+            finally:
+                for p in trainable.values():
+                    p.requires_grad = True
             metrics = EpochMetrics(
                 epoch=epoch,
                 loss_pred=sums["pred"] / n_batches,
@@ -366,7 +378,11 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     """Top-1 accuracy of both prediction routes over one split, with ``bank`` as the prompts.
 
     Every forward is deterministic (no dropout rng) and leaves the model as
-    it was, so calls with different banks may share a model.
+    it was, so calls with different banks may share a model. A forward
+    records a backward graph if and only if some model parameter requires
+    grad, and nothing here reads it; `train`'s per-epoch pass and
+    ``ivit eval`` freeze every parameter first, so they hold activations
+    only.
 
     ``select_k`` routes each image through zero-shot prompt selection first;
     ``select_k >= n_classes`` degenerates to the unselected path (identical

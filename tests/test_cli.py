@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from ivit import cli as cli_mod
 from ivit import dataset as ds
 from ivit import tensor as T
 from ivit.checkpoint import save_checkpoint
@@ -260,25 +261,53 @@ def test_non_finite_pixel_exits_3_naming_the_file(tmp_path, data_dir, bank_path,
     assert not (tmp_path / "run").exists() and not (tmp_path / "image.ivpb").exists()
 
 
+def assert_eval_reproduces_the_last_metrics_row(tmp_path, data_dir, bank_path, capsys, **overrides):
+    """Train, then ``ivit eval --split train`` on ``final.ckpt`` must print the last CSV row's accuracies."""
+    run_dir = tmp_path / "run"
+    cfg = fast_config(tmp_path, **overrides)
+    code, out, _ = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                       "--config", str(cfg), "--out", str(run_dir))
+    assert code == 0
+    assert re.search(r"\d+ trainable of \d+ parameters", out)
+    csv_lines = (run_dir / "metrics.csv").read_text().splitlines()
+    assert csv_lines[0] == "epoch,loss_pred,loss_score,loss_total,head_top1,score_top1,lr"
+    assert len(csv_lines) == 1 + 2  # header + one row per epoch
+    final_head, final_score = csv_lines[-1].split(",")[4:6]
+
+    code, out, _ = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
+                       "--checkpoint", str(run_dir / "final.ckpt"), "--split", "train")
+    assert code == 0
+    m = re.fullmatch(r"head_top1=(\S+) score_top1=(\S+)\n", out)
+    assert m, out
+    assert m.group(1) == final_head and m.group(2) == final_score
+
+
 class TestTrainEval:
     def test_train_then_eval_reproduces_final_metrics(self, tmp_path, data_dir, bank_path, capsys):
-        run_dir = tmp_path / "run"
-        cfg = fast_config(tmp_path)
-        code, out, _ = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
-                           "--config", str(cfg), "--out", str(run_dir))
-        assert code == 0
-        assert re.search(r"\d+ trainable of \d+ parameters", out)
-        csv_lines = (run_dir / "metrics.csv").read_text().splitlines()
-        assert csv_lines[0] == "epoch,loss_pred,loss_score,loss_total,head_top1,score_top1,lr"
-        assert len(csv_lines) == 1 + 2  # header + one row per epoch
-        final_head, final_score = csv_lines[-1].split(",")[4:6]
+        assert_eval_reproduces_the_last_metrics_row(tmp_path, data_dir, bank_path, capsys)
 
+    def test_prompt_tuning_train_then_eval_reproduces_final_metrics(self, tmp_path, data_dir, bank_path,
+                                                                    capsys):
+        assert_eval_reproduces_the_last_metrics_row(tmp_path, data_dir, bank_path, capsys,
+                                                    regime="prompt_tuning")
+
+    @pytest.mark.parametrize("select_k", [[], ["--select-k", "2"]], ids=["plain", "select_k"])
+    def test_eval_hands_evaluate_a_model_with_no_parameter_requiring_grad(self, tmp_path, data_dir,
+                                                                          bank_path, capsys, monkeypatch,
+                                                                          recorded_nodes, select_k):
+        ckpt = untrained_checkpoint(tmp_path / "m.ckpt")
+        seen = []
+        real_evaluate = cli_mod.evaluate
+
+        def spy(model, *args, **kwargs):
+            seen.append([name for name, p in model.named_parameters() if p.requires_grad])
+            return real_evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "evaluate", spy)
         code, out, _ = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
-                           "--checkpoint", str(run_dir / "final.ckpt"), "--split", "train")
-        assert code == 0
-        m = re.fullmatch(r"head_top1=(\S+) score_top1=(\S+)\n", out)
-        assert m, out
-        assert m.group(1) == final_head and m.group(2) == final_score
+                           "--checkpoint", str(ckpt), *select_k)
+        assert code == 0 and out.startswith("head_top1=")
+        assert seen == [[]] and recorded_nodes == []
 
     def test_prompt_tuning_prints_small_trainable_count(self, tmp_path, data_dir, bank_path, capsys):
         cfg = fast_config(tmp_path, regime="prompt_tuning", epochs=1)

@@ -333,6 +333,53 @@ def test_no_step_graph_outlives_its_step(tmp_path, monkeypatch, select):
     assert len(history) == 2 and len(losses) == 4
 
 
+@pytest.mark.parametrize("regime", REGIMES)
+def test_the_per_epoch_eval_runs_on_frozen_parameters_and_records_no_graph(tmp_path, monkeypatch,
+                                                                           recorded_nodes, regime):
+    model, data, bank = tiny_setup(tmp_path, n_classes=3, n_train=12, n_val=6)
+    real_evaluate = trainer_mod.evaluate
+    per_call = []
+
+    def checking_evaluate(*args, **kwargs):
+        assert [name for name, p in model.named_parameters() if p.requires_grad] == []
+        before = len(recorded_nodes)
+        result = real_evaluate(*args, **kwargs)
+        per_call.append(len(recorded_nodes) - before)
+        return result
+
+    monkeypatch.setattr(trainer_mod, "evaluate", checking_evaluate)
+    train(model, data, bank, TrainConfig(epochs=2, batch_size=4, warmup_epochs=0, mixup_alpha=0.0,
+                                         regime=regime))
+    assert per_call == [0, 0]
+    assert recorded_nodes  # the training steps still record theirs
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("exit", ["return", "early_stop", "eval_raises"])
+def test_train_leaves_every_flag_as_apply_freeze_set_it(tmp_path, monkeypatch, regime, exit):
+    model, data, bank = tiny_setup(tmp_path)
+    expected = {name: name.startswith(TRAINABLE[regime]) for name, _ in model.named_parameters()}
+    real_evaluate = trainer_mod.evaluate
+    evals = []
+
+    def evaluate_or_raise(*args, **kwargs):
+        evals.append(1)
+        if exit == "eval_raises":
+            raise NonFiniteError("evaluation on the train split: overflow encountered in matmul")
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "evaluate", evaluate_or_raise)
+    cfg = TrainConfig(epochs=2, batch_size=8, warmup_epochs=0, mixup_alpha=0.0, regime=regime)
+    if exit == "eval_raises":
+        with pytest.raises(NonFiniteError, match="evaluation on the train split"):
+            train(model, data, bank, cfg)
+    else:
+        history = train(model, data, bank, cfg, stop_at_head_top1=0.0 if exit == "early_stop" else None)
+        assert len(history) == len(evals)
+    assert len(evals) == (2 if exit == "return" else 1)
+    assert {name: p.requires_grad for name, p in model.named_parameters()} == expected
+
+
 def per_image_average_loss(model, batch, bank, k, dropout_rng):
     """The selected batch loss written per image: one term per image, then a hand-rolled average."""
     pred_terms, score_terms = [], []
