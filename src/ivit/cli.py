@@ -26,9 +26,9 @@ from .config import parse_run_config, run_config_defaults, split_run_config
 from .errors import ConfigError, ConsistencyError, FormatError, NonFiniteError
 from .gradcheck import run_suite, tolerance
 from .model import InstructionModel
-from .prompts import (build_image_bank, build_mixed_bank, build_text_bank, check_bank_seed, load_bank,
-                      save_bank)
-from .trainer import apply_freeze, evaluate, train
+from .prompts import (MODALITIES, build_image_bank, build_mixed_bank, build_text_bank, check_bank_seed,
+                      load_bank, save_bank)
+from .trainer import apply_freeze, check_agreement, evaluate, train
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-bank", help="build a prompt bank from a dataset's classes")
     p.add_argument("--data", required=True)
-    p.add_argument("--modality", required=True, help="text, image, or mixed")
+    p.add_argument("--modality", required=True, choices=MODALITIES)
     p.add_argument("--dim", type=int, default=64, help="prompt feature width D_p")
     p.add_argument("--seed", type=int, default=0, help="image-prompt selection seed")
     p.add_argument("--out", required=True)
@@ -105,9 +105,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_build_bank(args) -> int:
-    if args.modality not in ("text", "image", "mixed"):
-        print(f"build-bank: unknown modality {args.modality!r}", file=sys.stderr)
-        return EXIT_ARGS
     check_bank_seed(args.seed)  # every modality, though only image rows use it
     data = ds.load(args.data)
     if args.modality == "text":
@@ -130,13 +127,9 @@ def cmd_train(args) -> int:
     values = parse_run_config(args.config) if args.config else run_config_defaults()
     if args.regime:
         values["regime"] = args.regime
-    # validate the config (exit 2) before comparing it with the dataset (exit 4)
+    # validate the config (exit 2), then compare it with the data (exit 4) before allocating the model
     model_cfg, train_cfg = split_run_config(values, n_classes=data.n_classes, prompt_dim=bank.dim)
-    if model_cfg.image_size != data.meta.image_size or model_cfg.channels != data.meta.channels:
-        raise ConsistencyError(
-            f"config image geometry {model_cfg.channels}x{model_cfg.image_size} does not match "
-            f"dataset {data.meta.channels}x{data.meta.image_size}"
-        )
+    check_agreement(model_cfg, data, bank)
     model = InstructionModel(model_cfg, seed=train_cfg.seed)
     _, n_train, n_total = apply_freeze(model, train_cfg.regime)
     print(f"regime={train_cfg.regime}: {n_train} trainable of {n_total} parameters")
@@ -151,13 +144,6 @@ def cmd_eval(args) -> int:
     data = ds.load(args.data)
     bank = load_bank(args.bank)
     model, _ = model_from_checkpoint(args.checkpoint)
-    cfg = model.config
-    if data.meta.image_size != cfg.image_size or data.meta.channels != cfg.channels:
-        raise ConsistencyError("checkpoint image geometry does not match the dataset")
-    if data.n_classes != cfg.n_classes:
-        raise ConsistencyError(
-            f"checkpoint expects {cfg.n_classes} classes, dataset has {data.n_classes}"
-        )
     for _, p in model.named_parameters():
         p.requires_grad = False  # no backward follows, so the forwards record no graph
     metrics = evaluate(model, data, bank, select_k=args.select_k, split=args.split)

@@ -131,109 +131,56 @@ def op_cases(seed: int, dtype=np.float64) -> dict[str, tuple[Callable[[], Tensor
     The random draws do not depend on ``dtype``.
     """
     rng = np.random.default_rng(seed)
-
-    def rt(shape) -> Tensor:
-        return Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True, dtype=dtype)
-
-    def co(shape) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=math.prod(shape))
-
     cases: dict[str, tuple[Callable[[], Tensor], list[Tensor]]] = {}
 
-    a = rt((3, 4))
-    b = rt((4, 2))
-    c1 = co((3, 2))
-    cases["matmul"] = (lambda: _quadratic(T.matmul(a, b), c1), [a, b])
+    def case(name: str, op: Callable[..., Tensor], *shapes, out) -> list[Tensor]:
+        """Draw one input per shape, then ``out``'s coefficients; the loss is `_quadratic` of ``op``."""
+        # one call of the summed size draws what a call per array would, without the per-call cost
+        flat = rng.uniform(-1.0, 1.0, size=sum(map(math.prod, shapes)) + math.prod(out))
+        inputs, at = [], 0
+        for shape in shapes:
+            n = math.prod(shape)
+            inputs.append(Tensor(flat[at : at + n].reshape(shape), requires_grad=True, dtype=dtype))
+            at += n
+        c = flat[at:]
+        cases[name] = (lambda: _quadratic(op(*inputs), c), inputs)
+        return inputs
 
-    ab = rt((2, 3, 4))
-    bb = rt((2, 4, 3))
-    c2 = co((2, 3, 3))
-    cases["matmul_batched"] = (lambda: _quadratic(T.matmul(ab, bb), c2), [ab, bb])
+    case("matmul", T.matmul, (3, 4), (4, 2), out=(3, 2))
+    case("matmul_batched", T.matmul, (2, 3, 4), (2, 4, 3), out=(2, 3, 3))
+    case("add", T.add, (2, 5), (2, 5), out=(2, 5))
+    case("add_bias", T.add_bias, (2, 3, 4), (4,), out=(2, 3, 4))
+    case("scale", lambda x: T.scale(x, 0.37), (3, 3), out=(3, 3))
 
-    x1 = rt((2, 5))
-    y1 = rt((2, 5))
-    c3 = co((2, 5))
-    cases["add"] = (lambda: _quadratic(T.add(x1, y1), c3), [x1, y1])
-
-    x2 = rt((2, 3, 4))
-    b2 = rt((4,))
-    c4 = co((2, 3, 4))
-    cases["add_bias"] = (lambda: _quadratic(T.add_bias(x2, b2), c4), [x2, b2])
-
-    x3 = rt((3, 3))
-    c5 = co((3, 3))
-    cases["scale"] = (lambda: _quadratic(T.scale(x3, 0.37), c5), [x3])
-
-    xmc = rt((3, 4))
+    xmc = Tensor(rng.uniform(-1.0, 1.0, size=(3, 4)), requires_grad=True, dtype=dtype)
     mask = (rng.random((3, 4)) > 0.3) / 0.7
-    c5b = co((3, 4))
-    cases["mul_const"] = (lambda: _quadratic(T.mul_const(xmc, mask), c5b), [xmc])
+    cmc = rng.uniform(-1.0, 1.0, size=12)
+    cases["mul_const"] = (lambda: _quadratic(T.mul_const(xmc, mask), cmc), [xmc])
 
-    xb = rt((3, 4))
-    c6 = co((2, 3, 4))
-    cases["broadcast_batch"] = (lambda: _quadratic(T.broadcast_batch(xb, 2), c6), [xb])
-
-    xt = rt((2, 3, 4))
-    c7 = co((4, 2, 3))
-    cases["transpose"] = (lambda: _quadratic(T.transpose(xt, (2, 0, 1)), c7), [xt])
-
-    xr = rt((2, 6))
-    c8 = co((3, 4))
-    cases["reshape"] = (lambda: _quadratic(T.reshape(xr, (3, 4)), c8), [xr])
-
-    xc1 = rt((2, 3))
-    xc2 = rt((2, 2))
-    c9 = co((2, 5))
-    cases["concat"] = (lambda: _quadratic(T.concat([xc1, xc2], axis=1), c9), [xc1, xc2])
-
-    xn = rt((3, 6))
-    c10 = co((3, 2))
-    cases["narrow"] = (lambda: _quadratic(T.narrow(xn, 1, 2, 2), c10), [xn])
+    case("broadcast_batch", lambda x: T.broadcast_batch(x, 2), (3, 4), out=(2, 3, 4))
+    case("transpose", lambda x: T.transpose(x, (2, 0, 1)), (2, 3, 4), out=(4, 2, 3))
+    case("reshape", lambda x: T.reshape(x, (3, 4)), (2, 6), out=(3, 4))
+    case("concat", lambda a, b: T.concat([a, b], axis=1), (2, 3), (2, 2), out=(2, 5))
+    case("narrow", lambda x: T.narrow(x, 1, 2, 2), (3, 6), out=(3, 2))
 
     # 43 draws no case uses: they keep every case below on the inputs that
     # the pinned suite errors in tests/test_tensor.py were recorded with
     rng.uniform(-1.0, 1.0, size=43)
 
-    bd_a = rt((2, 4))
-    bd_b = rt((2, 3, 4))
-    c13 = co((2, 3))
-    cases["batched_dot"] = (lambda: _quadratic(T.batched_dot(bd_a, bd_b), c13), [bd_a, bd_b])
-
-    xs = rt((3, 5))
-    c14 = co((3, 5))
-    cases["softmax"] = (lambda: _quadratic(T.softmax(xs, axis=1), c14), [xs])
-
-    xl = rt((3, 5))
+    case("batched_dot", T.batched_dot, (2, 4), (2, 3, 4), out=(2, 3))
+    case("softmax", lambda x: T.softmax(x, axis=1), (3, 5), out=(3, 5))
+    xl, = case("l2_normalize", lambda x: T.l2_normalize(x, axis=1), (3, 5), out=(3, 5))
     # keep slices away from the origin where the epsilon guard kicks in
     xl.data += np.where(xl.data >= 0, 0.5, -0.5)
-    c15 = co((3, 5))
-    cases["l2_normalize"] = (lambda: _quadratic(T.l2_normalize(xl, axis=1), c15), [xl])
+    case("gelu", T.gelu, (4, 4), out=(4, 4))
+    case("layer_norm", T.layer_norm, (2, 3, 6), (6,), (6,), out=(2, 3, 6))
 
-    xg = rt((4, 4))
-    c16 = co((4, 4))
-    cases["gelu"] = (lambda: _quadratic(T.gelu(xg), c16), [xg])
-
-    xln = rt((2, 3, 6))
-    gln = rt((6,))
-    bln = rt((6,))
-    c17 = co((2, 3, 6))
-    cases["layer_norm"] = (
-        lambda: _quadratic(T.layer_norm(xln, gln, bln), c17),
-        [xln, gln, bln],
-    )
-
-    lg = rt((4, 3))
-    tg_rows = rng.dirichlet(np.ones(3), size=4)
-    tg = tg_rows.astype(dtype)
+    lg = Tensor(rng.uniform(-1.0, 1.0, size=(4, 3)), requires_grad=True, dtype=dtype)
+    tg = rng.dirichlet(np.ones(3), size=4).astype(dtype)
     cases["cross_entropy"] = (lambda: T.cross_entropy(lg, tg), [lg])
 
     # appended last, so every case above keeps its draws
-    xli = rt((2, 3, 4))
-    wli = rt((4, 3))
-    bli = rt((3,))
-    c18 = co((2, 3, 3))
-    cases["linear"] = (lambda: _quadratic(T.linear(xli, wli, bli), c18), [xli, wli, bli])
-
+    case("linear", T.linear, (2, 3, 4), (4, 3), (3,), out=(2, 3, 3))
     return cases
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import _blas
 from . import tensor as T
 from ._atomic import write_atomic
-from .config import TrainConfig
+from .config import ModelConfig, TrainConfig
 from .dataset import LabeledBatch, SyntheticDataset, check_batch_size
 from .errors import ConfigError, ConsistencyError, NonFiniteError, ShapeError
 from .model import ForwardOutput, InstructionModel, one_hot
@@ -225,15 +225,36 @@ def apply_freeze(model: InstructionModel, regime: str) -> tuple[dict[str, Tensor
     return trainable, n_train, n_total
 
 
-def _check_head(model: InstructionModel, bank: PromptBank) -> None:
-    if model.config.n_classes != bank.n_classes:
-        raise ConsistencyError(f"model head has {model.config.n_classes} classes, the bank {bank.n_classes}")
+def check_agreement(cfg: ModelConfig, dataset: SyntheticDataset, bank: PromptBank) -> None:
+    """Raise ``ConsistencyError``, naming both sides, unless a model of ``cfg``, ``dataset`` and ``bank`` fit.
+
+    They fit when the dataset and the bank list the same classes, ``cfg.n_classes == bank.n_classes``,
+    ``(cfg.channels, cfg.image_size)`` are the dataset's and ``cfg.prompt_dim == bank.dim``.
+    """
+    if dataset.class_names != bank.class_names:
+        raise ConsistencyError(f"dataset classes {dataset.class_names} do not match bank classes {bank.class_names}")
+    if cfg.n_classes != bank.n_classes:
+        raise ConsistencyError(f"model head has {cfg.n_classes} classes, the bank {bank.n_classes}")
+    meta = dataset.meta
+    if (cfg.channels, cfg.image_size) != (meta.channels, meta.image_size):
+        raise ConsistencyError(
+            f"model image geometry {cfg.channels}x{cfg.image_size} does not match "
+            f"dataset {meta.channels}x{meta.image_size}"
+        )
+    if cfg.prompt_dim != bank.dim:
+        raise ConsistencyError(f"bank feature width {bank.dim} != configured prompt_dim {cfg.prompt_dim}")
 
 
 def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
           cfg: TrainConfig, out_dir: str | None = None,
           stop_at_head_top1: float | None = None) -> list[EpochMetrics]:
     """Run the full loop; returns the per-epoch metrics history.
+
+    Before any work, `check_agreement` rejects a model, dataset and bank that
+    disagree (class lists, head width, image geometry, prompt width) with
+    ``ConsistencyError``, and a ``select_in_training`` model with
+    ``select_k < 1`` or mixup on raises ``ConfigError``: a rejected call
+    makes no directory, changes no flag and runs no forward.
 
     Every training forward gets ``bank``'s feature rows and the run's
     attention-dropout rng as arguments; the model keeps neither. When ``out_dir`` is set, a
@@ -251,24 +272,19 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     only. However `train` returns or raises, each parameter's flag is then
     what `apply_freeze` set for ``cfg.regime``.
     """
-    if dataset.class_names != bank.class_names:
-        raise ConsistencyError(
-            f"dataset classes {dataset.class_names[:4]}... do not match bank classes {bank.class_names[:4]}..."
-        )
-    _check_head(model, bank)
+    check_agreement(model.config, dataset, bank)
     _eval_workers()  # a bad IVIT_THREADS fails here, not at the first epoch's eval
+    if model.config.select_in_training:
+        if model.config.select_k < 1:
+            raise ConfigError("select_in_training needs select_k >= 1")
+        if cfg.mixup_alpha > 0:
+            raise ConfigError("select_in_training with mixup is undefined; set mixup_alpha=0")
 
     from .checkpoint import save_checkpoint  # deferred: checkpoint imports config
 
     trainable, _, _ = apply_freeze(model, cfg.regime)
     state = AdamState()
     rng = np.random.default_rng([cfg.seed, 0x7EA1])
-
-    if model.config.select_in_training:
-        if model.config.select_k < 1:
-            raise ConfigError("select_in_training needs select_k >= 1")
-        if cfg.mixup_alpha > 0:
-            raise ConfigError("select_in_training with mixup is undefined; set mixup_alpha=0")
 
     steps_per_epoch = math.ceil(dataset.meta.n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
@@ -377,6 +393,10 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
              select_k: int | None = None, split: str = "val", batch_size: int = 64) -> EvalMetrics:
     """Top-1 accuracy of both prediction routes over one split, with ``bank`` as the prompts.
 
+    Before any forward, `check_agreement` rejects a model, dataset and bank
+    that disagree (class lists, head width, image geometry, prompt width)
+    with ``ConsistencyError``.
+
     Every forward is deterministic (no dropout rng) and leaves the model as
     it was, so calls with different banks may share a model. A forward
     records a backward graph if and only if some model parameter requires
@@ -409,9 +429,7 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     (2-core Xeon, OpenBLAS 0.3.31). A floating-point overflow, invalid value
     or division by zero in any batch raises ``NonFiniteError``.
     """
-    if dataset.class_names != bank.class_names:
-        raise ConsistencyError("dataset and bank class lists differ")
-    _check_head(model, bank)
+    check_agreement(model.config, dataset, bank)
     if split == "train":
         batches, n = dataset.train_batches, dataset.meta.n_train
     elif split == "val":

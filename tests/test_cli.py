@@ -131,9 +131,11 @@ class TestBuildBank:
         np.testing.assert_allclose(mixed, (text + image) / 2.0, atol=1e-6)
 
     def test_unknown_modality(self, tmp_path, data_dir, capsys):
-        code, _, err = run(capsys, "build-bank", "--data", str(data_dir), "--modality", "audio",
-                           "--dim", "16", "--out", str(tmp_path / "x.ivpb"))
-        assert code == 2 and "audio" in err
+        with pytest.raises(SystemExit) as exit_info:  # argparse rejects it as an invalid choice
+            main(["build-bank", "--data", str(data_dir), "--modality", "audio",
+                  "--dim", "16", "--out", str(tmp_path / "x.ivpb")])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2 and "audio" in err and "error:" in err
 
     @pytest.mark.parametrize("modality", ["text", "image", "mixed"])
     def test_zero_width_is_argument_error(self, tmp_path, data_dir, capsys, modality):
@@ -333,6 +335,14 @@ class TestTrainEval:
         code, _, err = run(capsys, "train", "--data", str(other), "--bank", str(bank_path),
                            "--config", str(fast_config(tmp_path)), "--out", str(tmp_path / "x"))
         assert code == 4 and "classes" in err
+
+    def test_config_image_size_other_than_the_datasets_exits_4(self, tmp_path, data_dir, bank_path, capsys):
+        run_dir = tmp_path / "run"
+        code, out, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                             "--config", str(fast_config(tmp_path, image_size=16)), "--out", str(run_dir))
+        assert code == 4 and out == ""
+        assert re.fullmatch(r"error: [^\n]*geometry 3x16 does not match dataset 3x8\n", err)
+        assert not run_dir.exists()
 
     def test_bad_config_wins_over_mismatched_bank(self, tmp_path, data_dir, bank_path, capsys):
         other = tmp_path / "other"

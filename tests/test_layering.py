@@ -6,7 +6,9 @@ from the prompt module, and the modules that produce frozen data never name
 the autograd `Tensor`. The bank and checkpoint formats read their bytes only
 through the shared `_binfile.Reader`, so neither grows its own offset logic.
 The reference forward imports only the config, so it can be an oracle for
-the model. scipy serves only the float64 erf, so no module imports it at
+the model. Whether a model, a dataset and a bank fit together is decided by
+`trainer.check_agreement` alone, so the CLI raises no `ConsistencyError`
+itself. scipy serves only the float64 erf, so no module imports it at
 module level, and a float32 process never loads it.
 """
 
@@ -80,6 +82,20 @@ def test_frozen_data_modules_do_not_import_tensor(module):
 @pytest.mark.parametrize("module", ["checkpoint", "prompts"])
 def test_file_formats_read_only_through_the_shared_reader(module):
     assert not unpacks_bytes(parse(module))
+
+
+def raised_names(tree: ast.Module) -> list[str]:
+    """The exception names the file raises itself: ``raise E(...)``, ``raise E`` or ``raise errors.E(...)``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.append(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", ""))
+    return names
+
+
+def test_cli_leaves_the_agreement_rule_to_the_library():
+    assert "ConsistencyError" not in raised_names(parse("cli"))
 
 
 def test_reference_imports_only_the_config():

@@ -354,6 +354,10 @@ def test_the_per_epoch_eval_runs_on_frozen_parameters_and_records_no_graph(tmp_p
     assert recorded_nodes  # the training steps still record theirs
 
 
+def requires_grad_flags(model):
+    return {name: p.requires_grad for name, p in model.named_parameters()}
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("exit", ["return", "early_stop", "eval_raises"])
 def test_train_leaves_every_flag_as_apply_freeze_set_it(tmp_path, monkeypatch, regime, exit):
@@ -377,7 +381,57 @@ def test_train_leaves_every_flag_as_apply_freeze_set_it(tmp_path, monkeypatch, r
         history = train(model, data, bank, cfg, stop_at_head_top1=0.0 if exit == "early_stop" else None)
         assert len(history) == len(evals)
     assert len(evals) == (2 if exit == "return" else 1)
-    assert {name: p.requires_grad for name, p in model.named_parameters()} == expected
+    assert requires_grad_flags(model) == expected
+
+
+def mixed_flags(model):
+    """Turn every other parameter's ``requires_grad`` off, so any freeze changes some flag; returns the flags."""
+    for i, (_, p) in enumerate(model.named_parameters()):
+        p.requires_grad = i % 2 == 0
+    return requires_grad_flags(model)
+
+
+def disagreeing_setup(tmp_path, rule):
+    """`tiny_setup` with one agreement rule broken; returns the model, data, bank and the expected message."""
+    model, data, bank = tiny_setup(tmp_path)  # 2 classes, 3x8 images, prompt_dim 16
+    if rule == "class_list":
+        bank = build_text_bank(list(reversed(data.class_names)), 16)
+        message = f"dataset classes {data.class_names} do not match bank classes {bank.class_names}"
+    elif rule == "head":
+        model = InstructionModel(dataclasses.replace(model.config, n_classes=5), seed=1)
+        message = "model head has 5 classes, the bank 2"
+    elif rule == "geometry":
+        model = InstructionModel(dataclasses.replace(model.config, image_size=12), seed=1)
+        message = "model image geometry 3x12 does not match dataset 3x8"
+    else:
+        bank = build_text_bank(data.class_names, 24)
+        message = "bank feature width 24 != configured prompt_dim 16"
+    return model, data, bank, message
+
+
+@pytest.mark.parametrize("rule", ["class_list", "head", "geometry", "width"])
+def test_disagreeing_inputs_are_rejected_before_any_work(tmp_path, monkeypatch, rule):
+    model, data, bank, message = disagreeing_setup(tmp_path, rule)
+    forwards = []
+    real_forward = InstructionModel.forward
+
+    def counting_forward(self, *args, **kwargs):
+        forwards.append(1)
+        return real_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(InstructionModel, "forward", counting_forward)
+    before = mixed_flags(model)
+    out = tmp_path / "run"
+    for select_k in (None, 1):
+        with pytest.raises(ConsistencyError) as rejected:
+            evaluate(model, data, bank, select_k=select_k)
+        assert str(rejected.value) == message
+    for regime in REGIMES:
+        with pytest.raises(ConsistencyError) as rejected:
+            train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, regime=regime),
+                  out_dir=str(out))
+        assert str(rejected.value) == message
+    assert forwards == [] and requires_grad_flags(model) == before and not out.exists()
 
 
 def per_image_average_loss(model, batch, bank, k, dropout_rng):
@@ -424,9 +478,11 @@ class TestSelectionInTraining:
                                 heads=2, mlp_ratio=2.0, prompt_dim=16, n_classes=4,
                                 select_k=2, select_in_training=True)
         model = InstructionModel(cfg_model, seed=1)
+        before = mixed_flags(model)
         with pytest.raises(ConfigError, match="mixup"):
             train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0,
-                                                 mixup_alpha=0.2))
+                                                 mixup_alpha=0.2), out_dir=str(tmp_path / "run"))
+        assert requires_grad_flags(model) == before and not (tmp_path / "run").exists()
 
     # on this data k=1 keeps no image's class, so the score term is skipped, and k=4 keeps all
     @pytest.mark.parametrize("k,kept_labels", [(1, {False}), (2, {True, False}), (3, {True, False}),
@@ -468,9 +524,11 @@ class TestSelectionInTraining:
                                 heads=2, mlp_ratio=2.0, prompt_dim=16, n_classes=4,
                                 select_k=0, select_in_training=True)
         model = InstructionModel(cfg_model, seed=1)
+        before = mixed_flags(model)
         with pytest.raises(ConfigError, match="select_k"):
             train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0,
-                                                 mixup_alpha=0.0))
+                                                 mixup_alpha=0.0), out_dir=str(tmp_path / "run"))
+        assert requires_grad_flags(model) == before and not (tmp_path / "run").exists()
 
 
 class TestAttentionDropout:
