@@ -15,10 +15,7 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-import numpy as np
 
 from . import dataset as ds
 from .checkpoint import model_from_checkpoint

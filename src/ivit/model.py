@@ -161,7 +161,3 @@ class InstructionModel:
 
     def parameter_dict(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()

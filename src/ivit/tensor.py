@@ -7,9 +7,11 @@ shortcuts are scalar arithmetic (`scale`, scalar `add`) and the explicit
 `add_bias` / `linear` / `broadcast_batch` ops, whose broadcast is their
 contract.
 
-As in PyTorch, `backward` stores gradients on leaves only (tensors no op
-produced, such as parameters and inputs); an intermediate result's gradient
-is freed once it has been passed back to the op's operands.
+`backward` returns the gradients of leaves only (tensors no op produced,
+such as parameters and inputs) and stores nothing on any tensor, so two
+graphs over one model can run backward in either order; an intermediate
+result's gradient is freed once it has been passed back to the op's
+operands.
 
 The graph is made of nodes, not tensors. An op whose operands need no
 gradient records nothing; otherwise its result gets a node, the list
@@ -77,12 +79,9 @@ _ROW_SUM_TOL = 1e-3 + 1e-5
 class Tensor:
     """An n-d array with optional gradient tracking.
 
-    ``grad`` is only ever set on a leaf (a tensor no op produced) and stays
-    ``None`` until ``backward()`` first reaches it; repeated backward calls
-    accumulate additively. An op's result keeps ``grad = None``. Tensors are
-    immutable after construction except for gradient accumulation
-    (optimizers mutate parameter ``data`` in place *between* graph
-    constructions, never inside one).
+    A tensor carries no gradient; `backward` returns them. Tensors are
+    immutable after construction (optimizers mutate parameter ``data`` in
+    place *between* graph constructions, never inside one).
 
     ``_node`` is the graph node of a result that needs a gradient (see the
     module docstring), else ``None``. The graph reaches the node, never the
@@ -90,7 +89,7 @@ class Tensor:
     it. ``_backward`` reads and replaces the node's closure.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -98,7 +97,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._node: list | None = None
 
     @property
@@ -131,9 +129,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(())[()])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name},"
@@ -148,7 +143,6 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """Wrap an op result; only records a graph node if some parent needs it."""
     out = _new(Tensor)
     out.data = data
-    out.grad = None
     # explicit loops: `any()` over a generator, or a list comprehension, costs more
     for p in parents:
         if p.requires_grad:
@@ -163,22 +157,27 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf that requires grad.
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """d(loss)/d(t) for every leaf ``t`` the graph reaches that requires grad.
+
+    Returns ``{leaf: gradient}``, keyed by the leaf object itself (`Tensor`
+    hashes by identity), with no entry for a leaf the graph does not reach or
+    one frozen since the forward. Each array is the caller's own copy,
+    because an op may hand one array to several operands (``add``) and
+    gradient clipping scales gradients in place. Nothing is stored on any
+    tensor, so calling backward() twice on one graph returns equal gradients.
 
     Walks the graph from ``loss``'s node: a handle that is a list is a node,
     any other is a leaf. Gradients flow through a scratch table; each entry
     is dropped as soon as its node has passed it back, so an intermediate
-    gradient lives only until its op's backward has run. A leaf's first
-    gradient is copied, because an op may hand one array to several operands
-    (``add``) and gradient clipping scales grads in place. Calling backward()
-    twice without zeroing grads adds exactly one more copy of each gradient.
+    gradient lives only until its op's backward has run.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward() needs a scalar loss, got shape {tuple(loss.shape)}")
+    grads: dict[Tensor, np.ndarray] = {}
     root = loss._node or (loss if loss.requires_grad else None)
     if root is None:
-        return
+        return grads
 
     topo: list = []
     visited: set[int] = set()
@@ -204,13 +203,14 @@ def backward(loss: Tensor) -> None:
             continue
         if type(handle) is not list:
             if handle.requires_grad:  # a leaf frozen since the forward gets nothing
-                handle.grad = g.copy() if handle.grad is None else handle.grad + g
+                grads[handle] = g.copy()
             continue
         for parent, pg in zip(handle[1:], handle[0](g)):
             if pg is None or parent is None:
                 continue
             acc = running.get(id(parent))
             running[id(parent)] = pg if acc is None else acc + pg
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -200,9 +200,8 @@ def _train_step(model: InstructionModel, trainable: dict[str, Tensor], state: Ad
     total = loss.item()
     if not math.isfinite(total):
         raise NonFiniteError(f"training loss is {total}")
-    model.zero_grad()
-    T.backward(loss)
-    grads = {name: p.grad for name, p in trainable.items() if p.grad is not None}
+    leaf_grads = T.backward(loss)
+    grads = {name: leaf_grads[p] for name, p in trainable.items() if p in leaf_grads}
     if cfg.grad_clip > 0:
         _clip_grads(grads, cfg.grad_clip)
     adam_step(trainable, grads, state, lr, cfg)

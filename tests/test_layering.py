@@ -9,7 +9,8 @@ The reference forward imports only the config, so it can be an oracle for
 the model. Whether a model, a dataset and a bank fit together is decided by
 `trainer.check_agreement` alone, so the CLI raises no `ConsistencyError`
 itself. scipy serves only the float64 erf, so no module imports it at
-module level, and a float32 process never loads it.
+module level, and a float32 process never loads it. A module imports only
+what it uses.
 """
 
 import ast
@@ -133,3 +134,22 @@ def test_scipy_is_imported_only_inside_functions(module):
 
     top = [n for node in module_level_imports(parse(module)) for n in names(node)]
     assert not [n for n in top if n.split(".")[0] == "scipy"]
+
+
+def imported_names(tree: ast.Module) -> list[str]:
+    """The names the file's imports bind, ``from __future__`` aside: ``import a.b`` binds ``a``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(m.stem for m in SRC.glob("*.py") if m.stem != "__init__"))
+def test_every_imported_name_is_used(module):
+    """``__init__`` is exempt: its imports are the package's exports."""
+    tree = parse(module)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert [name for name in imported_names(tree) if name not in used] == []

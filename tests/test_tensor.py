@@ -18,7 +18,7 @@ from scipy.special import erf
 
 from ivit import tensor as T
 from ivit.errors import ShapeError
-from ivit.gradcheck import ELEMENTWISE_TOL, check_gradients, op_cases, run_op_checks, run_suite
+from ivit.gradcheck import ELEMENTWISE_TOL, check_gradients, model_case, op_cases, run_op_checks, run_suite
 from ivit.tensor import Tensor
 
 
@@ -140,13 +140,15 @@ class TestStructuralOps:
 
 
 class TestBackward:
-    def test_repeated_backward_accumulates(self):
+    def test_repeated_backward_returns_equal_unshared_grads(self):
         x = t64([[1.0, 2.0]], requires_grad=True)
         loss = T.reshape(T.matmul(x, t64([[1.0], [1.0]])), ())
-        T.backward(loss)
-        first = x.grad.copy()
-        T.backward(loss)
-        np.testing.assert_allclose(x.grad, 2.0 * first)
+        first = T.backward(loss)
+        second = T.backward(loss)
+        assert list(first) == list(second) == [x]
+        np.testing.assert_array_equal(second[x], first[x])
+        np.testing.assert_array_equal(first[x], [[1.0, 1.0]])
+        assert not np.shares_memory(first[x], second[x])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -155,16 +157,19 @@ class TestBackward:
 
     def test_grad_none_until_backward(self):
         x = Tensor([1.0], requires_grad=True)
-        assert x.grad is None
+        assert not hasattr(x, "grad")
+        other = Tensor([[2.0]], requires_grad=True)
+        assert x not in T.backward(T.reshape(other, ()))
+        assert x in T.backward(T.reshape(T.scale(x, 2.0), ()))
 
     def test_reachable_tensors_get_grads(self):
-        """Only leaves keep a gradient; an op's result does not."""
+        """Only leaves get a gradient; an op's result does not."""
         x = t64([[0.3, -0.2]], requires_grad=True)
         y = T.gelu(x)
         loss = T.reshape(T.matmul(y, t64([[0.5], [0.5]])), ())
-        T.backward(loss)
-        assert x.grad is not None
-        assert y.grad is None and loss.grad is None
+        grads = T.backward(loss)
+        assert x in grads
+        assert y not in grads and loss not in grads
 
     def test_intermediate_gradients_are_freed_once_passed_back(self):
         x = t64(np.ones((1, 4)), requires_grad=True)
@@ -180,18 +185,50 @@ class TestBackward:
                 return inner(g)
 
             h._backward = bw
-        T.backward(T.reshape(T.matmul(h, t64(np.ones((4, 1)))), ()))
+        grads = T.backward(T.reshape(T.matmul(h, t64(np.ones((4, 1)))), ()))
         # when the last closure runs, the two gradients handed back before it are gone
         assert alive == [False, False]
-        np.testing.assert_array_equal(x.grad, np.full((1, 4), 0.125))
+        np.testing.assert_array_equal(grads[x], np.full((1, 4), 0.125))
 
     def test_leaves_fed_one_array_get_distinct_grads(self):
         a = t64([[1.0, 2.0]], requires_grad=True)
         b = t64([[3.0, 4.0]], requires_grad=True)
-        T.backward(T.reshape(T.matmul(T.add(a, b), t64([[0.5], [2.0]])), ()))
-        assert not np.shares_memory(a.grad, b.grad)
-        a.grad *= 3.0  # what gradient clipping does
-        np.testing.assert_array_equal(b.grad, [[0.5, 2.0]])
+        grads = T.backward(T.reshape(T.matmul(T.add(a, b), t64([[0.5], [2.0]])), ()))
+        assert not np.shares_memory(grads[a], grads[b])
+        grads[a] *= 3.0  # what gradient clipping does
+        np.testing.assert_array_equal(grads[b], [[0.5, 2.0]])
+
+    def test_two_graphs_on_one_model_backward_in_either_order(self):
+        """Gradients live only in what backward returns, so one graph's backward leaves another's alone."""
+        model, images, prompts, labels = model_case(0)
+        other_images = np.random.default_rng(1).uniform(-1.0, 1.0, size=images.shape)
+        params = list(model.parameter_dict().values())
+
+        def graph(x):
+            return model.total_loss(model.forward(x, prompts), labels)[0]
+
+        def assert_bit_identical(got, want):
+            assert list(got) == list(want)
+            for p in want:
+                assert got[p].dtype == want[p].dtype and got[p].shape == want[p].shape
+                assert got[p].tobytes() == want[p].tobytes()
+
+        alone = [T.backward(graph(x)) for x in (images, other_images)]
+        assert set(alone[0]) == set(params)
+        first, second = graph(images), graph(other_images)
+        got_second = T.backward(second)
+        got_first = T.backward(first)
+        assert_bit_identical(got_first, alone[0])
+        assert_bit_identical(got_second, alone[1])
+        assert any(not np.array_equal(got_first[p], got_second[p]) for p in params)  # two distinct graphs
+
+        loss = graph(images)
+        frozen = model.parameter_dict()["head.weight"]
+        frozen.requires_grad = False  # after the forward: the graph still reaches it
+        grads = T.backward(loss)
+        assert frozen not in grads
+        assert_bit_identical(grads, {p: g for p, g in alone[0].items() if p is not frozen})
+        assert not hasattr(loss, "grad") and not hasattr(frozen, "grad")
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_matmul_computes_gradients_only_for_operands_that_need_them(self, batched):
@@ -247,8 +284,8 @@ class TestLinear:
         grads = []
         for op in (T.linear, lambda x, w, b: T.add_bias(T.matmul(x, w), b)):
             x, w, b = (t64(a.copy(), requires_grad=True) for a in arrays)
-            T.backward(T.reshape(T.matmul(T.reshape(op(x, w, b), (1, 18)), c), ()))
-            grads.append((x.grad, w.grad, b.grad))
+            leaf_grads = T.backward(T.reshape(T.matmul(T.reshape(op(x, w, b), (1, 18)), c), ()))
+            grads.append((leaf_grads[x], leaf_grads[w], leaf_grads[b]))
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
 
@@ -484,7 +521,7 @@ def test_result_records_an_edge_iff_some_parent_requires_grad(flags):
                 assert h is (p if p.requires_grad else None)
         else:
             assert not out.requires_grad and out._node is None and out._backward is None
-        assert out.grad is None
+        assert not hasattr(out, "grad")
 
 
 #: ``repr`` of every ``run_suite`` error, recorded from the ``any()`` / ``allclose``
