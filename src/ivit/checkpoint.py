@@ -106,18 +106,6 @@ def apply_parameters(model: InstructionModel, params: dict[str, np.ndarray]) -> 
         p.data[...] = arr.astype(p.data.dtype)
 
 
-def load_into(model: InstructionModel, path) -> int:
-    """Load a checkpoint into an existing model; its config echo must match."""
-    config, params, step = load_checkpoint(path)
-    if config != model.config:
-        raise ConsistencyError(
-            f"checkpoint config does not match model config:\n{dump_model_config(config)}"
-            f"---\n{dump_model_config(model.config)}"
-        )
-    apply_parameters(model, params)
-    return step
-
-
 def model_from_checkpoint(path) -> tuple[InstructionModel, int]:
     """Rebuild a model entirely from a checkpoint's config echo and parameters."""
     config, params, step = load_checkpoint(path)

@@ -3,7 +3,8 @@
 Every key has a documented default; unknown keys are rejected loudly so a
 misspelled hyperparameter can never silently fall back to a default.
 `n_classes` and `prompt_dim` are not run-config keys: they are derived from
-the dataset and the prompt bank when a model is built.
+the dataset and the prompt bank when a model is built. `TRAINABLE` maps each
+tuning regime to the parameter-name prefixes the optimizer updates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-REGIMES = ("full", "prompt_tuning")
+TRAINABLE = {"full": ("",), "prompt_tuning": ("head", "prompt_embed")}
+REGIMES = tuple(TRAINABLE)
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class ModelConfig:
     attn_dropout: float = 0.0
     prompt_dim: int = 64
     n_classes: int = 8
-    select_k: int = 0            # 0 disables prompt selection
+    select_k: int = 0            # training-time K, read only when select_in_training is true
     loss_pred_weight: float = 1.0
     loss_score_weight: float = 1.0
     select_in_training: bool = False
@@ -109,19 +111,14 @@ class TrainConfig:
             raise ConfigError(f"unknown regime {self.regime!r}, expected one of {REGIMES}")
 
 
-_MODEL_KEYS = {f.name: f.type for f in dataclasses.fields(ModelConfig) if f.name not in ("n_classes", "prompt_dim")}
-_TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig) if f.name not in ("n_classes", "prompt_dim"))
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 
 def run_config_defaults() -> dict[str, object]:
     """The full documented key set with defaults."""
-    out: dict[str, object] = {}
-    for f in dataclasses.fields(ModelConfig):
-        if f.name not in ("n_classes", "prompt_dim"):
-            out[f.name] = f.default
-    for f in dataclasses.fields(TrainConfig):
-        out[f.name] = f.default
-    return out
+    model, train = ModelConfig(), TrainConfig()
+    return {k: getattr(model, k) for k in _MODEL_KEYS} | {k: getattr(train, k) for k in _TRAIN_KEYS}
 
 
 def _coerce(key: str, raw: str, default) -> object:
@@ -194,10 +191,8 @@ def parse_model_config(text: str) -> ModelConfig:
             kwargs[key] = raw.strip() == "True"
         elif isinstance(default, int):
             kwargs[key] = int(raw)
-        elif isinstance(default, float):
-            kwargs[key] = float(raw)
         else:
-            kwargs[key] = raw.strip()
+            kwargs[key] = float(raw)
     missing = sorted(set(fields) - set(kwargs))
     if missing:  # save_checkpoint echoes every field, so a gap means a corrupt echo
         raise ConfigError(f"checkpoint echo is missing keys {missing}")

@@ -30,6 +30,7 @@ is built, before anything is written.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -194,15 +195,10 @@ def _grid_pool(img: np.ndarray) -> np.ndarray:
     return (sums / np.outer(*sizes)).reshape(-1)
 
 
-_projection_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _projection(n_in: int, dim: int) -> np.ndarray:
-    key = (n_in, dim)
-    if key not in _projection_cache:
-        rng = np.random.default_rng(_IMAGE_PROJECTION_SEED)
-        _projection_cache[key] = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, dim))
-    return _projection_cache[key]
+    rng = np.random.default_rng(_IMAGE_PROJECTION_SEED)
+    return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, dim))
 
 
 def toy_image_encode(image, dim: int) -> np.ndarray:

@@ -5,8 +5,8 @@ rises from 0 to the peak over the warmup epochs, the cosine then lands
 exactly on the floor at the last step), per-batch mixup, and two tuning
 regimes: `full` trains everything, `prompt_tuning` trains only the
 classification head and the prompt projection while the backbone stays
-bit-frozen. `TRAINABLE` maps each regime to the parameter-name prefixes the
-optimizer updates. Prompt-bank features are data, never parameters, in both.
+bit-frozen. `config.TRAINABLE` maps each regime to the parameter-name prefixes
+the optimizer updates. Prompt-bank features are data, never parameters, in both.
 
 Mixup blends each batch with a permutation of itself: the training rng draws
 the permutation, then lambda from Beta(alpha, alpha), and `mixup` returns the
@@ -29,7 +29,8 @@ import numpy as np
 from . import _blas
 from . import tensor as T
 from ._atomic import write_atomic
-from .config import ModelConfig, TrainConfig
+from .checkpoint import save_checkpoint
+from .config import TRAINABLE, ModelConfig, TrainConfig
 from .dataset import LabeledBatch, SyntheticDataset, check_batch_size
 from .errors import ConfigError, ConsistencyError, NonFiniteError, ShapeError
 from .model import ForwardOutput, InstructionModel, one_hot
@@ -38,10 +39,6 @@ from .selection import predict_scores, select, selected_bank
 from .tensor import Tensor
 
 METRICS_HEADER = "epoch,loss_pred,loss_score,loss_total,head_top1,score_top1,lr"
-
-
-# parameter-name prefixes the optimizer updates, per regime
-TRAINABLE = {"full": ("",), "prompt_tuning": ("head", "prompt_embed")}
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -279,8 +276,6 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
         if cfg.mixup_alpha > 0:
             raise ConfigError("select_in_training with mixup is undefined; set mixup_alpha=0")
 
-    from .checkpoint import save_checkpoint  # deferred: checkpoint imports config
-
     trainable, _, _ = apply_freeze(model, cfg.regime)
     state = AdamState()
     rng = np.random.default_rng([cfg.seed, 0x7EA1])
@@ -357,9 +352,11 @@ def write_metrics_csv(path, history: list[EpochMetrics]) -> None:
 
 
 def _eval_workers() -> int:
+    """IVIT_THREADS, else the CPUs in this process's affinity mask (every core where the OS has no
+    mask). A CPU quota such as cgroup ``cpu.max`` does not show in the mask."""
     raw = os.environ.get("IVIT_THREADS", "").strip()
     if not raw:
-        return max(1, os.cpu_count() or 1)
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if not raw.isdecimal() or int(raw) < 1:
         raise ConfigError(f"IVIT_THREADS must be a positive integer, got {raw!r}")
     return int(raw)

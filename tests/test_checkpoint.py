@@ -8,7 +8,6 @@ import pytest
 from ivit.checkpoint import (
     apply_parameters,
     load_checkpoint,
-    load_into,
     model_from_checkpoint,
     save_checkpoint,
 )
@@ -44,25 +43,27 @@ def test_round_trip_bit_exact(tmp_path):
         assert np.array_equal(arr, own[name].data), name
 
 
-def test_load_into_restores_parameters(tmp_path):
+def test_apply_parameters_restores_parameters(tmp_path):
     src = tiny_model(seed=4)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, src, step=3)
     dst = tiny_model(seed=99)  # different init
     assert not np.array_equal(dst.head.weight.data, src.head.weight.data)
-    step = load_into(dst, path)
+    _, params, step = load_checkpoint(path)
+    apply_parameters(dst, params)
     assert step == 3
     for name, p in dst.named_parameters():
         assert np.array_equal(p.data, dict(src.named_parameters())[name].data), name
 
 
-def test_config_echo_mismatch_rejected(tmp_path):
+def test_parameters_of_another_width_rejected(tmp_path):
     src = tiny_model(dim=16)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, src)
     other = tiny_model(dim=32, heads=2)
-    with pytest.raises(ConsistencyError, match="config"):
-        load_into(other, path)
+    _, params, _ = load_checkpoint(path)
+    with pytest.raises(ConsistencyError, match="checkpoint shape"):
+        apply_parameters(other, params)
 
 
 def test_config_echo_bool_must_be_a_python_literal():

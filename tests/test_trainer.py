@@ -744,6 +744,22 @@ class TestEvaluate:
         assert checksums(model, "") == before  # rejected before the first step
 
 
+def test_default_worker_count_is_the_affinity_mask_not_the_host_cores(monkeypatch):
+    monkeypatch.delenv("IVIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert trainer_mod._eval_workers() == 2
+
+
+def test_default_worker_count_falls_back_to_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delenv("IVIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert trainer_mod._eval_workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert trainer_mod._eval_workers() == 1
+
+
 @pytest.fixture()
 def blas_at_two_threads():
     """numpy's OpenBLAS at two threads for the test, so a drop to one shows."""
