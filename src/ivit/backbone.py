@@ -79,7 +79,7 @@ class MultiHeadAttention:
         k = self._split_heads(self.wk(x), b, t)
         v = self._split_heads(self.wv(x), b, t)
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.head_dim))
-        attn = T.softmax(scores, axis=-1)
+        attn = T.softmax(scores)
         if self.capture_attn:
             self.last_attn = attn.data
         if self.dropout > 0.0 and dropout_rng is not None:
@@ -131,7 +131,7 @@ class Backbone:
         """[B, C, H, W] pixel array -> [B, N, dim]: non-overlapping patches, flattened and projected.
 
         The pixels are constant, so they are patchified in numpy and become a
-        ``Tensor`` only as the input of ``patch_proj``.
+        ``Tensor``, of the model's dtype, only as the input of ``patch_proj``.
         """
         cfg = self.cfg
         images = np.asarray(images)
@@ -144,7 +144,7 @@ class Backbone:
         side = cfg.image_size // cfg.patch_size
         x = images.reshape(b, cfg.channels, side, cfg.patch_size, side, cfg.patch_size)
         x = x.transpose(0, 2, 4, 1, 3, 5)  # [B, hp, wp, C, ps, ps]
-        return self.patch_proj(Tensor(x.reshape(b, cfg.n_patches, cfg.patch_dim)))
+        return self.patch_proj(Tensor(x.reshape(b, cfg.n_patches, cfg.patch_dim), dtype=self.pos_embed.dtype))
 
     def add_positional(self, cls: Tensor, patches: Tensor) -> Tensor:
         """Concat [CLS | patches] and add the positional table. Prompts never come here."""

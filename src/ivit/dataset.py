@@ -64,8 +64,9 @@ class DatasetMeta:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        if min(self.n_classes, self.n_train, self.n_val, self.image_size, self.channels) < 1:
-            raise ValueError("all dataset counts and dims must be positive")
+        counts = [self.n_classes, self.n_train, self.n_val, self.image_size, self.channels]
+        if min(counts) < 1:
+            raise ValueError(f"counts and dims must be positive, got {counts}")
         if len(self.class_names) != self.n_classes:
             raise ConsistencyError(
                 f"{len(self.class_names)} class names for {self.n_classes} classes"
@@ -186,15 +187,14 @@ def _read_meta(path) -> DatasetMeta:
         raise FormatError(f"meta.txt is missing key {e.args[0]!r}") from e
     except ValueError as e:
         raise FormatError(f"meta.txt holds a non-numeric value: {e}") from e
-    if min(counts[:5]) < 1:
-        raise FormatError(f"meta.txt: counts and dims must be positive, got {counts[:5]}")
     if not math.isfinite(mean):
         raise FormatError(f"meta.txt: mean must be finite, got {mean}")
     if not (math.isfinite(std) and std > 0.0):
         raise FormatError(f"meta.txt: std must be finite and > 0, got {std}")
-    if len(names) != counts[0]:
-        raise FormatError(f"meta.txt: {len(names)} class names for {counts[0]} classes")
-    return DatasetMeta(*counts, mean=mean, std=std, class_names=tuple(names))
+    try:
+        return DatasetMeta(*counts, mean=mean, std=std, class_names=tuple(names))
+    except ValueError as e:
+        raise FormatError(f"meta.txt: {e}") from e
 
 
 def _read_exact(path, dtype, count: int) -> np.ndarray:

@@ -99,7 +99,7 @@ class InstructionModel:
         logits = self.head(cls_out)
         if n_prompts > 0:
             prompt_out = T.narrow(tokens, 1, t - n_prompts, n_prompts)
-            score = T.batched_dot(T.l2_normalize(cls_out, axis=1), T.l2_normalize(prompt_out, axis=2))
+            score = T.batched_dot(T.l2_normalize(cls_out), T.l2_normalize(prompt_out))
         else:
             score = Tensor(np.zeros((b, 0), dtype=tokens.dtype))
         return ForwardOutput(logits=logits, score=score)

@@ -296,8 +296,6 @@ def load_bank(path) -> PromptBank:
     if mod_code not in _MODALITY_NAME:
         raise FormatError(f"unknown modality code {mod_code}")
     feats = np.frombuffer(r.take(n * dim * 4, "features"), dtype="<f4").reshape(n, dim).copy()
-    if not np.isfinite(feats).all():
-        raise FormatError("bank features hold non-finite values")
     names = [r.name(f"name {i} of the name table") for i in range(n)]
     r.end(f"the name table ({n} names)")
     try:

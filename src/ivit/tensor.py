@@ -23,10 +23,12 @@ the arrays its backward reads, so an intermediate array that no closure
 captures (pre-softmax scores, a residual sum, a projection's output) is freed
 as soon as the forward drops its last name for it.
 
-Training runs in float32; the gradient-check suite builds the same graph in
-float64 (creation functions take ``dtype``, ops preserve it: constants are
-Python floats, never numpy float64 scalars, which would promote a float32
-operand).
+A graph has one dtype. Training runs in float32; the gradient-check suite
+builds the same graph in float64. Creation functions take ``dtype``, and the
+model wraps every array it feeds a graph (pixels, prompt rows, targets) in
+its own. Ops preserve the dtype and do not promote mixed operands: constants
+are Python floats, never numpy float64 scalars, and the constant arrays of
+`mul_const` and `cross_entropy` are cast to their operand's dtype.
 
 `gelu`, `layer_norm` and `softmax` write in place on arrays they allocate
 themselves, forward and backward, and float32 `gelu` walks its input in
@@ -374,43 +376,39 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.
+    """Matrix product of operands with identical leading dims.
 
-    Supported forms: 2-d @ 2-d, n-d @ 2-d (stacked rows through one matrix),
-    and batched n-d @ n-d with identical leading dims. Nothing else. The
-    n-d @ 2-d form runs as one GEMM over the stacked rows, forward and
-    backward.
+    2-d @ 2-d, or a batch of them, n-d @ n-d. Nothing else: `linear` runs
+    stacked rows through one matrix.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.shape} @ {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree for {a.shape} @ {b.shape}")
-    if bd.ndim != 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul: batch dims differ for {a.shape} @ {b.shape}")
+    if ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError(f"matmul: leading dims differ for {a.shape} @ {b.shape}")
 
     need_a, need_b = a.requires_grad, b.requires_grad
-    shared = bd.ndim == 2
 
     def bw(g):
         ga = gb = None  # an operand that needs no gradient gets none computed
         if need_a:
-            ga = _gemm(g, bd.T) if shared else g @ bd.swapaxes(-1, -2)
+            ga = g @ bd.swapaxes(-1, -2)
         if need_b:
-            gb = _rows(ad).T @ _rows(g) if shared else ad.swapaxes(-1, -2) @ g
+            gb = ad.swapaxes(-1, -2) @ g
         return ga, gb
 
-    return _result(_gemm(ad, bd) if shared else ad @ bd, (a, b), bw)
+    return _result(ad @ bd, (a, b), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one graph node: ``x`` [..., D_in], ``w`` [D_in, D_out], ``b`` [D_out].
 
-    The arithmetic of ``add_bias(matmul(x, w), b)``, forward and backward, bit
-    for bit: the product and the input gradient are each one GEMM over the
-    stacked rows of ``x`` (of the output gradient), as the weight gradient
-    is. The bias is added in place on the fresh product, so the product is
-    not kept alive as a second activation.
+    The product and the input gradient are each one GEMM over the stacked
+    rows of ``x`` (of the output gradient), as the weight gradient is. The
+    bias, of the product's dtype, is added in place on the fresh product, so
+    the product is not kept alive as a second activation.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim < 2 or wd.ndim != 2:
@@ -433,10 +431,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, gw, gb
 
     y = _gemm(xd, wd)
-    if y.dtype == bd.dtype:
-        y += bd
-    else:  # a bias of another dtype promotes as add_bias's out-of-place sum does
-        y = y + bd
+    y += bd
     return _result(y, (x, w, b), bw)
 
 
@@ -462,16 +457,15 @@ def batched_dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stabilized softmax along ``axis`` (max subtraction, so huge inputs are fine)."""
-    axis = axis % x.ndim
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Stabilized softmax along the last axis (max subtraction, so huge inputs are fine)."""
+    y = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bw(g):
         gx = g * y
-        dot = gx.sum(axis=axis, keepdims=True)
+        dot = gx.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=gx)
         gx *= y
         return (gx,)
@@ -479,20 +473,19 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result(y, (x,), bw)
 
 
-def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
-    """Scale slices along ``axis`` to unit Euclidean norm.
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale slices along the last axis to unit Euclidean norm.
 
     The denominator is ``norm + 1e-12``, so zero slices map to zero instead
     of dividing by zero.
     """
-    axis = axis % x.ndim
     xd = x.data
-    n = np.sqrt((xd * xd).sum(axis=axis, keepdims=True))
+    n = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
     d = n + NORM_EPS
     y = xd / d
 
     def bw(g):
-        s = (g * xd).sum(axis=axis, keepdims=True)
+        s = (g * xd).sum(axis=-1, keepdims=True)
         return (g / d - xd * (s / (d * d * np.maximum(n, NORM_EPS))),)
 
     return _result(y, (x,), bw)
@@ -569,8 +562,8 @@ def _gelu32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based gelu (float32 through the rational-fit `erf`).
 
-    float32 is computed in cache-sized chunks and the backward in place on its
-    own gradient buffer; both are bit-identical to the op-by-op formulas
+    float32 is computed in cache-sized chunks, and the backward in place on a
+    buffer of the input's dtype; both are bit-identical to the op-by-op formulas
     ``0.5 * x * (1 + erf(x / sqrt2))`` and
     ``g * (0.5 * (1 + erf(x / sqrt2)) + x * pdf(x))``.
     """
@@ -590,8 +583,6 @@ def gelu(x: Tensor) -> Tensor:
         gx = c + 1.0
         gx *= 0.5
         gx += xpdf
-        if gx.dtype != g.dtype:  # a wider gradient promotes, as the out-of-place product does
-            return (g * gx,)
         gx *= g
         return (gx,)
 
@@ -601,8 +592,9 @@ def gelu(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply per-feature gain and bias.
 
-    Forward and backward write in place on their own fresh arrays, bit-identical
-    to ``xhat = (x - mu) / sqrt(var + LN_EPS); xhat * gain + bias`` op by op.
+    ``gain`` and ``bias`` share ``x``'s dtype. Forward and backward write in
+    place on their own fresh arrays, bit-identical to
+    ``xhat = (x - mu) / sqrt(var + LN_EPS); xhat * gain + bias`` op by op.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -614,11 +606,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = np.add.reduce(sq, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
-    if sq.dtype == gain.data.dtype == bias.data.dtype:
-        out = np.multiply(xhat, gain.data, out=sq)
-        out += bias.data
-    else:  # a wider gain or bias promotes, as the out-of-place formula does
-        out = xhat * gain.data + bias.data
+    out = np.multiply(xhat, gain.data, out=sq)
+    out += bias.data
     lead = tuple(range(x.ndim - 1))
     gd = gain.data
 

@@ -407,16 +407,17 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     `_hits`.
 
     ``batch_size`` bounds the images held at once, whatever IVIT_THREADS is.
-    Plain evaluation cuts the split into contiguous shards of
-    ``ceil(batch_size / workers)`` images, IVIT_THREADS capping the workers,
-    and runs them on a thread pool with OpenBLAS held at one thread, so the
-    pool is the only parallelism. A shard is made only once a worker is
-    free, so at most ``workers`` shards are held. Groupings that are not a
-    multiple of 16 images can move logits in the last float32 bits, since
-    OpenBLAS picks another kernel: on the benchmark's eval model, shards of
-    21 and of 1 image moved head logits by up to 3.6e-7, shards of 8, 16,
-    22 and 32 by nothing. With one worker, or a split no larger than one
-    shard, the batches run in the calling thread.
+    Plain evaluation runs ``workers = min(IVIT_THREADS, batch_size)``
+    threads on contiguous shards of ``ceil(batch_size / workers)`` images,
+    with OpenBLAS held at one thread, so the pool is the only parallelism. A
+    shard is made only once a worker is free, so at most ``workers`` shards
+    are held: ``batch_size`` images, or fewer than ``batch_size + workers``
+    when ``workers`` does not divide it. Groupings that are not a multiple
+    of 16 images can move logits in the last float32 bits, since OpenBLAS
+    picks another kernel: on the benchmark's eval model, shards of 21 and of
+    1 image moved head logits by up to 3.6e-7, shards of 8, 16, 22 and 32 by
+    nothing. With one worker, or a split no larger than one shard, the
+    batches run in the calling thread.
 
     Selected evaluation runs in the calling thread whatever the cap, one
     ``batch_size`` batch at a time: each image is its own batch-size-1
@@ -438,7 +439,7 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     if use_selection and select_k < 1:
         raise ValueError(f"select_k must be >= 1, got {select_k}")
 
-    workers = _eval_workers()  # checked on both paths, used by the plain one
+    workers = min(_eval_workers(), int(batch_size))  # checked on both paths, used by the plain one
     shard_size = -(-int(batch_size) // workers)
     all_classes = np.arange(bank.n_classes)
 

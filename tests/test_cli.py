@@ -244,7 +244,7 @@ def test_bank_non_finite_feature_exits_3(tmp_path, data_dir, bank_path, capsys):
     bank_path.write_bytes(bytes(blob))
     code, out, err = run(capsys, "eval", "--data", str(data_dir), "--bank", str(bank_path),
                          "--checkpoint", str(untrained_checkpoint(tmp_path / "m.ckpt")))
-    assert (code, out, err) == (3, "", "error: bank features hold non-finite values\n")
+    assert (code, out, err) == (3, "", f"error: bank {bank_path}: prompt features must be finite\n")
 
 
 @pytest.mark.parametrize("split", ["train", "val"])
@@ -576,8 +576,8 @@ class TestGradcheckCommand:
     def test_corrupted_gradient_names_the_op(self, capsys, monkeypatch):
         true_softmax = T.softmax
 
-        def softmax_with_doubled_gradient(x, axis=-1):
-            out = true_softmax(x, axis)
+        def softmax_with_doubled_gradient(x):
+            out = true_softmax(x)
             if out._backward is not None:
                 backward = out._backward
                 out._backward = lambda g: tuple(2.0 * gx for gx in backward(g))

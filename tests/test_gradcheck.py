@@ -194,8 +194,8 @@ def _score_before_final_norm(exact):
         p = t - 1 - self.config.n_patches
         logits = self.head(T.reshape(T.narrow(tokens, 1, 0, 1), (b, d)))
         cls_pre = T.reshape(T.narrow(x, 1, 0, 1), (b, d))
-        return ForwardOutput(logits, T.batched_dot(T.l2_normalize(cls_pre, axis=1),
-                                                   T.l2_normalize(T.narrow(x, 1, t - p, p), axis=2)))
+        return ForwardOutput(logits, T.batched_dot(T.l2_normalize(cls_pre),
+                                                   T.l2_normalize(T.narrow(x, 1, t - p, p))))
     return forward
 
 

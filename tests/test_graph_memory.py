@@ -32,7 +32,7 @@ def _attention_core(q, kT, keep_names):
     """softmax(scale(q @ kT)) reduced to a scalar; returns (loss, weak refs, kept tensors)."""
     scores = T.matmul(q, kT)
     scaled = T.scale(scores, 0.5)
-    attn = T.softmax(scaled, axis=-1)
+    attn = T.softmax(scaled)
     refs = [weakref.ref(scores.data), weakref.ref(scaled.data)]
     kept = [scores, scaled] if keep_names else []
     del scores, scaled

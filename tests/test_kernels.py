@@ -152,15 +152,6 @@ def test_gelu_and_erf(n, ndim, dtype, transposed):
     _assert_same(T.erf(x.data), erf_ref(x.data))
 
 
-def test_gelu_gradient_of_a_wider_dtype_promotes():
-    rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(3, 7)), requires_grad=True, dtype=np.float32)
-    g = rng.normal(size=(3, 7))
-    (gx,) = T.gelu(x)._backward(g)
-    assert gx.dtype == np.float64
-    _assert_same(gx, gelu_ref(x.data, g)[1][0])
-
-
 def test_gelu_edge_values():
     x = np.array([0.0, -0.0, 1e-30, -1e-30, 3.9, 4.0, 4.1, -5.0, 40.0, -40.0,
                   np.inf, -np.inf, np.nan], dtype=np.float32)
@@ -184,24 +175,12 @@ def test_layer_norm(n, ndim, dtype, transposed):
     _assert_op(out, out._backward(g), *layer_norm_ref(x.data, gain.data, bias.data, g))
 
 
-@pytest.mark.parametrize("gain_dtype,bias_dtype", [(np.float64, np.float32), (np.float32, np.float64)])
-def test_layer_norm_wider_gain_or_bias_promotes(gain_dtype, bias_dtype):
-    rng = np.random.default_rng(6)
-    x = Tensor(rng.normal(size=(4, 5)), requires_grad=True, dtype=np.float32)
-    gain = Tensor(rng.normal(size=5), requires_grad=True, dtype=gain_dtype)
-    bias = Tensor(rng.normal(size=5), requires_grad=True, dtype=bias_dtype)
-    out = T.layer_norm(x, gain, bias)
-    assert out.dtype == np.float64
-    g = rng.normal(size=(4, 5))
-    _assert_op(out, out._backward(g), *layer_norm_ref(x.data, gain.data, bias.data, g))
-
-
 @pytest.mark.parametrize("n,ndim,dtype,transposed", CASES)
 def test_softmax(n, ndim, dtype, transposed):
     rng = np.random.default_rng(n + ndim)
     x = _input(rng, _shape(n, ndim), dtype, transposed, scale=30.0)
     g = rng.normal(size=x.shape).astype(dtype)
-    out = T.softmax(x, axis=-1)
+    out = T.softmax(x)
     _assert_op(out, out._backward(g), *softmax_ref(x.data, g))
 
 

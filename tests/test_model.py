@@ -104,9 +104,12 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_outputs_keep_model_dtype(self, dtype):
         model, prompts = make_model(n_classes=3, n_prompts=4, dtype=dtype, depth=2)
-        out = model.forward(images_for(model, batch=2), prompts)
-        assert out.logits.dtype == dtype
-        assert out.score.dtype == dtype
+        for pixel_dtype in (np.float32, np.float64):
+            out = model.forward(images_for(model, batch=2).astype(pixel_dtype), prompts)
+            assert out.logits.dtype == dtype
+            assert out.score.dtype == dtype
+            grads = T.backward(model.loss_pred(out.logits, np.array([0, 2])))
+            assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
 
     def test_score_bounded_by_one(self):
         model, prompts = make_model(n_prompts=5)
@@ -242,8 +245,7 @@ class TestPredict:
         prompts = rng.normal(size=(4, 3, 16))
 
         def cosine_argmax(c):
-            score = T.batched_dot(T.l2_normalize(Tensor(c), axis=1),
-                                  T.l2_normalize(Tensor(prompts), axis=2))
+            score = T.batched_dot(T.l2_normalize(Tensor(c)), T.l2_normalize(Tensor(prompts)))
             return predict_scores(score.data, np.arange(3))
 
         base = cosine_argmax(cls)

@@ -8,6 +8,7 @@ examples are computed inline from their definitions before being asserted.
 import inspect
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -20,6 +21,7 @@ from ivit import tensor as T
 from ivit.errors import ShapeError
 from ivit.gradcheck import ELEMENTWISE_TOL, check_gradients, model_case, op_cases, run_op_checks, run_suite
 from ivit.tensor import Tensor
+from test_kernels import linear_ref
 
 
 def t64(data, requires_grad=False):
@@ -37,8 +39,12 @@ class TestMatmul:
         np.testing.assert_array_equal(out.data, [[5.0], [7.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(5, 2\)"):
-            T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
+        for shape_a, shape_b in (
+            ((3, 4), (5, 2)),     # inner dims disagree
+            ((2, 3, 4), (4, 2)),  # stacked rows through one matrix is linear's form, not matmul's
+        ):
+            with pytest.raises(ShapeError, match=re.escape(f"{shape_a} @ {shape_b}")):
+                T.matmul(Tensor(np.zeros(shape_a)), Tensor(np.zeros(shape_b)))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -54,46 +60,46 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = T.softmax(Tensor([[0.0, 0.0]]), axis=1)
+        out = T.softmax(Tensor([[0.0, 0.0]]))
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_no_overflow_on_huge_inputs(self):
-        out = T.softmax(Tensor([[1000.0, 1000.0]]), axis=1)
+        out = T.softmax(Tensor([[1000.0, 1000.0]]))
         assert np.isfinite(out.data).all()
         np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
     def test_direct_evaluation(self):
         # oracle: e^x / sum e^x computed straight from the definition
         expected = np.exp([1.0, 0.0]) / np.exp([1.0, 0.0]).sum()
-        out = T.softmax(Tensor([[1.0, 0.0]]), axis=1)
+        out = T.softmax(Tensor([[1.0, 0.0]]))
         np.testing.assert_allclose(out.data[0], expected, atol=1e-7)
         np.testing.assert_allclose(out.data[0], [0.7311, 0.2689], atol=1e-4)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
-        out = T.softmax(t64(rng.normal(0, 3, (20, 9))), axis=1)
+        out = T.softmax(t64(rng.normal(0, 3, (20, 9))))
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
         assert (out.data >= 0).all() and (out.data <= 1).all()
 
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        out = T.l2_normalize(Tensor([[3.0, 4.0]]), axis=1)
+        out = T.l2_normalize(Tensor([[3.0, 4.0]]))
         np.testing.assert_allclose(out.data, [[0.6, 0.8]], atol=1e-7)
 
     def test_unit_vector_fixed_point(self):
         v = np.array([[0.6, 0.8]], dtype=np.float64)
-        out = T.l2_normalize(t64(v), axis=1)
+        out = T.l2_normalize(t64(v))
         np.testing.assert_allclose(out.data, v, atol=1e-10)
 
     def test_zero_vector_stays_zero(self):
-        out = T.l2_normalize(Tensor([[0.0, 0.0]]), axis=1)
+        out = T.l2_normalize(Tensor([[0.0, 0.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_norms_are_one(self):
         rng = np.random.default_rng(3)
         x = t64(rng.uniform(0.2, 1.0, (10, 6)) * np.sign(rng.normal(size=(10, 6))))
-        out = T.l2_normalize(x, axis=1)
+        out = T.l2_normalize(x)
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-10)
 
 
@@ -130,8 +136,8 @@ class TestStructuralOps:
 
     def test_batched_dot_of_unit_vectors_bounded(self):
         rng = np.random.default_rng(9)
-        a = T.l2_normalize(Tensor(rng.normal(size=(8, 16))), axis=1)
-        b = T.l2_normalize(Tensor(rng.normal(size=(8, 5, 16))), axis=2)
+        a = T.l2_normalize(Tensor(rng.normal(size=(8, 16))))
+        b = T.l2_normalize(Tensor(rng.normal(size=(8, 5, 16))))
         out = T.batched_dot(a, b)
         assert (np.abs(out.data) <= 1.0 + 1e-6).all()
 
@@ -248,7 +254,8 @@ class TestBackward:
 
 
 class TestLinear:
-    """``linear`` is ``add_bias(matmul(x, w), b)`` as one node, bit for bit."""
+    """``linear`` is ``x @ w + b`` as one node, bit for bit ``linear_ref``: the
+    bias added to one GEMM over the stacked rows."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     # on one-row matrices, (2, 1, 4) and (4, 2, 1, 4), numpy's per-matrix
@@ -259,42 +266,30 @@ class TestLinear:
         rng = np.random.default_rng(11)
         x, w, b = (Tensor(rng.normal(size=shape), requires_grad=need, dtype=dtype)
                    for shape, need in zip((x_shape, (4, 3), (3,)), flags))
-        fused = T.linear(x, w, b)
-        product = T.matmul(x, w)
-        ref = T.add_bias(product, b)
-        assert fused.dtype == ref.dtype == dtype
-        np.testing.assert_array_equal(fused.data, ref.data)
-        assert fused.requires_grad == any(flags)
+        out = T.linear(x, w, b)
+        g = rng.normal(size=x_shape[:-1] + (3,)).astype(dtype)
+        y_ref, grads_ref = linear_ref(x.data, w.data, b.data, g)
+        assert out.dtype == y_ref.dtype == dtype
+        np.testing.assert_array_equal(out.data, y_ref)
+        assert out.requires_grad == any(flags)
         if not any(flags):
             return
-        g = rng.normal(size=x_shape[:-1] + (3,)).astype(dtype)
-        g_product, gb_ref = ref._backward(g)
-        gx_ref, gw_ref = product._backward(g_product) if product.requires_grad else (None, None)
-        for need, got, want in zip(flags, fused._backward(g), (gx_ref, gw_ref, gb_ref)):
+        for need, got, want in zip(flags, out._backward(g), grads_ref):
             if need:
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
             else:
                 assert got is None
 
-    def test_leaf_grads_match_the_two_op_graph(self):
+    def test_leaf_grads_match_the_stacked_rows_reference(self):
         rng = np.random.default_rng(12)
-        arrays = [rng.normal(size=s) for s in ((2, 3, 4), (4, 3), (3,))]
-        c = t64(rng.normal(size=(18, 1)))
-        grads = []
-        for op in (T.linear, lambda x, w, b: T.add_bias(T.matmul(x, w), b)):
-            x, w, b = (t64(a.copy(), requires_grad=True) for a in arrays)
-            leaf_grads = T.backward(T.reshape(T.matmul(T.reshape(op(x, w, b), (1, 18)), c), ()))
-            grads.append((leaf_grads[x], leaf_grads[w], leaf_grads[b]))
-        for got, want in zip(*grads):
-            np.testing.assert_array_equal(got, want)
-
-    def test_a_wider_bias_promotes_as_add_bias_does(self):
-        x, w = Tensor(np.ones((2, 2))), Tensor(np.eye(2))
-        b = Tensor([0.1, 0.2], dtype=np.float64)
-        out = T.linear(x, w, b)
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(out.data, T.add_bias(T.matmul(x, w), b).data)
+        x, w, b = (t64(rng.normal(size=s), requires_grad=True) for s in ((2, 3, 4), (4, 3), (3,)))
+        c = rng.normal(size=(18, 1))
+        leaf_grads = T.backward(T.reshape(T.matmul(T.reshape(T.linear(x, w, b), (1, 18)), t64(c)), ()))
+        # the loss's gradient with respect to the linear's output is c, laid out as that output
+        _, want = linear_ref(x.data, w.data, b.data, c.reshape(2, 3, 3))
+        for got, expected in zip((leaf_grads[x], leaf_grads[w], leaf_grads[b]), want, strict=True):
+            np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
         ((4,), (4, 3), (3,)),         # 1-d input
@@ -328,7 +323,7 @@ def test_evaluation_is_deterministic():
     w = rng.normal(size=(8, 8)).astype(np.float32)
 
     def run():
-        return T.softmax(T.matmul(Tensor(x), Tensor(w)), axis=1).data
+        return T.softmax(T.matmul(Tensor(x), Tensor(w))).data
 
     assert np.array_equal(run(), run())
 

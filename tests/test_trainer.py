@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -614,6 +615,28 @@ class TestEvaluate:
             selected = evaluate(model, data, bank, select_k=2, split="val", batch_size=2)
             results[threads] = (plain, selected)
         assert results["1"] == results["4"]
+
+    def test_the_pool_holds_no_more_than_batch_size_images_whatever_the_cap(self, tmp_path, monkeypatch):
+        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        lock = threading.Lock()
+        held, peak = [0], [0]
+        inner = model.forward
+
+        def spy(images, *args, **kwargs):
+            with lock:
+                held[0] += len(images)
+                peak[0] = max(peak[0], held[0])
+            try:
+                time.sleep(0.05)  # long enough for every free worker to start its own forward
+                return inner(images, *args, **kwargs)
+            finally:
+                with lock:
+                    held[0] -= len(images)
+
+        monkeypatch.setattr(model, "forward", spy)
+        monkeypatch.setenv("IVIT_THREADS", "8")
+        evaluate(model, data, bank, split="val", batch_size=2)
+        assert peak[0] <= 2
 
     @pytest.mark.parametrize("threads, batch_size, forwards", [
         ("1", 7, [7] * 5 + [5]),
