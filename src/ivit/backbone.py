@@ -6,10 +6,12 @@ residual, LN -> MLP -> residual) with a final layer norm. Every layer is
 built from the model's ``ModelConfig``; dim 768 / depth 12 / heads 12 is
 the ViT-B point.
 
-Prompt tokens appended after the patches never receive positional
-embeddings, which is what makes the encoder permutation-equivariant over
-the prompt segment. The encoder itself sees a plain [B, T, dim] token
-tensor and never needs the segment layout.
+The backbone holds the CLS token and the positional table but does not
+apply them: `InstructionModel.assemble` concatenates [CLS | patches] and
+adds the table to those rows only. Prompt tokens appended after the patches
+never receive positional embeddings, which is what makes the encoder
+permutation-equivariant over the prompt segment. The encoder itself sees a
+plain [B, T, dim] token tensor and never needs the segment layout.
 """
 
 from __future__ import annotations
@@ -145,15 +147,6 @@ class Backbone:
         x = images.reshape(b, cfg.channels, side, cfg.patch_size, side, cfg.patch_size)
         x = x.transpose(0, 2, 4, 1, 3, 5)  # [B, hp, wp, C, ps, ps]
         return self.patch_proj(Tensor(x.reshape(b, cfg.n_patches, cfg.patch_dim), dtype=self.pos_embed.dtype))
-
-    def add_positional(self, cls: Tensor, patches: Tensor) -> Tensor:
-        """Concat [CLS | patches] and add the positional table. Prompts never come here."""
-        if patches.shape[1] != self.cfg.n_patches:
-            raise ShapeError(
-                f"got {patches.shape[1]} patch tokens, positional table expects {self.cfg.n_patches}"
-            )
-        seq = T.concat([cls, patches], axis=1)
-        return T.add_bias(seq, self.pos_embed)
 
     def encoder_forward(self, tokens: Tensor,
                         dropout_rng: np.random.Generator | None = None) -> Tensor:

@@ -68,7 +68,10 @@ class InstructionModel:
         """Build the [B, T, dim] [CLS | patches | prompts] input block.
 
         ``images`` is [B, C, H, W] and ``prompts`` a [P, D_p] array shared by
-        every image; no prompts or zero rows add no prompt tokens.
+        every image; no prompts or zero rows add no prompt tokens. The
+        backbone's positional table is added to the CLS and patch rows only;
+        `Backbone.patch_embed` has already checked the image shape, so the
+        table and the patch count agree.
         """
         if prompts is not None:
             prompts = np.asarray(prompts)
@@ -80,7 +83,8 @@ class InstructionModel:
                 )
         patches = self.backbone.patch_embed(images)
         b = patches.shape[0]
-        seq = self.backbone.add_positional(T.broadcast_batch(self.backbone.cls_token, b), patches)
+        cls = T.broadcast_batch(self.backbone.cls_token, b)
+        seq = T.add_bias(T.concat([cls, patches], axis=1), self.backbone.pos_embed)
         if prompts is not None and prompts.shape[0] > 0:
             rows = Tensor(prompts, dtype=self.dtype)
             seq = T.concat([seq, T.broadcast_batch(self.prompt_embed(rows), b)], axis=1)

@@ -370,8 +370,6 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     all rows is faster, and on some shapes (one-row matrices, odd widths) it
     rounds differently.
     """
-    if a.ndim == 2:
-        return a @ b
     return (_rows(a) @ b).reshape(a.shape[:-1] + b.shape[1:])
 
 

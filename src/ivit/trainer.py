@@ -406,25 +406,25 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     and the class each score column stands for; both routes count hits with
     `_hits`.
 
-    ``batch_size`` bounds the images held at once, whatever IVIT_THREADS is.
-    Plain evaluation runs ``workers = min(IVIT_THREADS, batch_size)``
-    threads on contiguous shards of ``ceil(batch_size / workers)`` images,
-    with OpenBLAS held at one thread, so the pool is the only parallelism. A
-    shard is made only once a worker is free, so at most ``workers`` shards
-    are held: ``batch_size`` images, or fewer than ``batch_size + workers``
-    when ``workers`` does not divide it. Groupings that are not a multiple
-    of 16 images can move logits in the last float32 bits, since OpenBLAS
-    picks another kernel: on the benchmark's eval model, shards of 21 and of
-    1 image moved head logits by up to 3.6e-7, shards of 8, 16, 22 and 32 by
-    nothing. With one worker, or a split no larger than one shard, the
-    batches run in the calling thread.
+    The prompt layout alone picks the route. Plain evaluation runs on a
+    thread pool with OpenBLAS held at one thread, so the pool is the only
+    parallelism, even with one worker. It cuts the split into contiguous
+    shards of ``ceil(batch_size / workers)`` images, ``workers =
+    min(IVIT_THREADS, batch_size)``, and runs ``batch_size // shard_size``
+    of them at once. A shard is made only once a pool thread is free, so at
+    most ``batch_size`` images are held, whatever IVIT_THREADS is. Groupings
+    that are not a multiple of 16 images can move logits in the last float32
+    bits, since OpenBLAS picks another kernel: on the benchmark's eval
+    model, shards of 21 and of 1 image moved head logits by up to 3.6e-7,
+    shards of 8, 16, 22 and 32 by nothing.
 
     Selected evaluation runs in the calling thread whatever the cap, one
-    ``batch_size`` batch at a time: each image is its own batch-size-1
-    forward, bound by the interpreter. Pooled on 2 threads, the benchmark's
-    eval_select took 1.91–2.13 s against 1.16–1.27 s in the calling thread
-    (2-core Xeon, OpenBLAS 0.3.31). A floating-point overflow, invalid value
-    or division by zero in any batch raises ``NonFiniteError``.
+    ``batch_size`` batch at a time, with OpenBLAS left as it is: each image
+    is its own batch-size-1 forward, bound by the interpreter. Pooled on 2
+    threads, the benchmark's eval_select took 1.91–2.13 s against
+    1.16–1.27 s in the calling thread (2-core Xeon, OpenBLAS 0.3.31). A
+    floating-point overflow, invalid value or division by zero in any batch
+    raises ``NonFiniteError``.
     """
     check_agreement(model.config, dataset, bank)
     if split == "train":
@@ -439,8 +439,7 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     if use_selection and select_k < 1:
         raise ValueError(f"select_k must be >= 1, got {select_k}")
 
-    workers = min(_eval_workers(), int(batch_size))  # checked on both paths, used by the plain one
-    shard_size = -(-int(batch_size) // workers)
+    workers = min(_eval_workers(), int(batch_size))  # checked on both routes, used by the plain one
     all_classes = np.arange(bank.n_classes)
 
     def work(batch: LabeledBatch) -> tuple[int, int]:
@@ -456,11 +455,12 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
         except FloatingPointError as e:
             raise NonFiniteError(f"evaluation on the {split} split: {e}") from e
 
-    if workers > 1 and n > shard_size and not use_selection:
-        with _blas.single_threaded():
-            results = _pooled(work, batches(shard_size), workers)
-    else:
+    if use_selection:
         results = [work(b) for b in batches(batch_size)]
+    else:
+        shard_size = -(-int(batch_size) // workers)
+        with _blas.single_threaded():
+            results = _pooled(work, batches(shard_size), int(batch_size) // shard_size)
 
     head = sum(r[0] for r in results)
     score = sum(r[1] for r in results)

@@ -13,6 +13,7 @@ from ivit.backbone import Backbone
 from ivit.config import ModelConfig
 from ivit.errors import ConfigError, ShapeError
 from ivit.gradcheck import check_gradients
+from ivit.model import InstructionModel
 from ivit.tensor import Tensor
 
 
@@ -66,23 +67,24 @@ class TestPatchEmbed:
 
 
 class TestPositional:
+    """The table is applied in `InstructionModel.assemble`, to the CLS and patch rows."""
+
+    @staticmethod
+    def make_model():
+        cfg = ModelConfig(image_size=8, patch_size=4, channels=3, dim=16, depth=1, heads=2, mlp_ratio=2.0)
+        return InstructionModel(cfg, dtype=np.float64)
+
     def test_zero_table_is_identity(self):
-        bb = make_backbone()
-        bb.pos_embed.data[...] = 0.0
-        patches = Tensor(np.random.default_rng(0).normal(size=(2, 4, 16)))
-        cls = T.broadcast_batch(bb.cls_token, 2)
-        out = bb.add_positional(cls, patches)
-        np.testing.assert_array_equal(out.data[:, 1:], patches.data)
+        model = self.make_model()
+        model.backbone.pos_embed.data[...] = 0.0
+        images = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
+        out = model.assemble(images)
+        np.testing.assert_array_equal(out.data[:, 0], np.repeat(model.backbone.cls_token.data, 2, axis=0))
+        np.testing.assert_array_equal(out.data[:, 1:], model.backbone.patch_embed(images).data)
 
     def test_output_shape(self):
-        bb = make_backbone()
-        out = bb.add_positional(T.broadcast_batch(bb.cls_token, 3), Tensor(np.zeros((3, 4, 16))))
-        assert out.shape == (3, 5, 16)
-
-    def test_patch_count_mismatch(self):
-        bb = make_backbone()
-        with pytest.raises(ShapeError):
-            bb.add_positional(T.broadcast_batch(bb.cls_token, 1), Tensor(np.zeros((1, 9, 16))))
+        out = self.make_model().assemble(np.zeros((3, 3, 8, 8)))
+        assert out.shape == (3, 1 + 4, 16)
 
 
 class TestEncoder:

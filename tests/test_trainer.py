@@ -606,7 +606,6 @@ class TestEvaluate:
         assert 0.0 <= metrics.score_top1 <= 1.0
 
     def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        # batch_size 2 over 8 val images makes more than one shard, so the plain path uses the pool
         model, data, bank = tiny_setup(tmp_path, n_classes=4)
         results = {}
         for threads in ("1", "4"):
@@ -616,7 +615,9 @@ class TestEvaluate:
             results[threads] = (plain, selected)
         assert results["1"] == results["4"]
 
-    def test_the_pool_holds_no_more_than_batch_size_images_whatever_the_cap(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("threads, batch_size", [("8", 2), ("2", 7), ("3", 7)])
+    def test_the_pool_holds_no_more_than_batch_size_images_whatever_the_cap(self, tmp_path, monkeypatch,
+                                                                            threads, batch_size):
         model, data, bank = tiny_setup(tmp_path, n_classes=4)
         lock = threading.Lock()
         held, peak = [0], [0]
@@ -634,9 +635,9 @@ class TestEvaluate:
                     held[0] -= len(images)
 
         monkeypatch.setattr(model, "forward", spy)
-        monkeypatch.setenv("IVIT_THREADS", "8")
-        evaluate(model, data, bank, split="val", batch_size=2)
-        assert peak[0] <= 2
+        monkeypatch.setenv("IVIT_THREADS", threads)
+        evaluate(model, data, bank, split="val", batch_size=batch_size)
+        assert peak[0] <= batch_size
 
     @pytest.mark.parametrize("threads, batch_size, forwards", [
         ("1", 7, [7] * 5 + [5]),
@@ -659,9 +660,7 @@ class TestEvaluate:
         monkeypatch.setattr(trainer_mod, "_hits", spy)
         monkeypatch.setenv("IVIT_THREADS", threads)
         evaluate(model, data, bank, split="val", batch_size=batch_size)
-        # one worker, or a split no larger than one shard, runs in the calling thread
-        pooled = len(forwards) > 1 and threads != "1"
-        assert sorted(seen) == sorted((n, pooled) for n in forwards)
+        assert sorted(seen) == sorted((n, True) for n in forwards)
 
     def test_the_per_epoch_eval_runs_at_evaluates_default_batch_size(self, tmp_path, monkeypatch):
         model, data, bank = tiny_setup(tmp_path, n_classes=4, n_train=16)
@@ -733,7 +732,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflow_raises_non_finite_error(self, tmp_path, monkeypatch, threads):
-        # eight shards of one image, so "2" runs them on the pool, whose threads start with numpy's defaults
+        # plain evaluation runs on the pool, whose threads start with numpy's defaults
         model, data, bank = tiny_setup(tmp_path, n_classes=4)
         model.backbone.blocks[0].fc1.weight.data[...] = 1e30
         monkeypatch.setenv("IVIT_THREADS", threads)
@@ -816,7 +815,7 @@ class TestEvalBlasThreads:
             return {(t == threading.get_ident(), n, path) for t, n, path in seen}
 
         assert run("4") == {(False, 1, "_hits")}
-        assert run("1") == {(True, 2, "_hits")}
+        assert run("1") == {(False, 1, "_hits")}
         assert run("4", select_k=2) == {(True, 2, "_selected_forwards"), (True, 2, "_hits")}
 
     def test_calling_thread_count_survives_evaluate_and_train(self, tmp_path, monkeypatch,
@@ -825,7 +824,7 @@ class TestEvalBlasThreads:
         monkeypatch.setenv("IVIT_THREADS", "4")
         evaluate(model, data, bank, split="val", batch_size=2)
         assert blas_at_two_threads.get_num_threads() == 2
-        # 32 train images make two shards of ceil(64 / 4), so the per-epoch eval runs on the pool as well
+        # the per-epoch eval runs on the pool as well
         train(model, data, bank, TrainConfig(epochs=1, batch_size=2, warmup_epochs=0,
                                              mixup_alpha=0.0))
         assert blas_at_two_threads.get_num_threads() == 2
