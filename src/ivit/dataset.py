@@ -96,7 +96,7 @@ def _render_split(meta_seed: int, split_tag: int, labels: np.ndarray,
         img = patterns[int(c)]
         if noise_std > 0:
             img = img + noise_rng.normal(0.0, noise_std, size=shape)
-        images[i] = img.astype(np.float32)
+        images[i] = img
     return images
 
 

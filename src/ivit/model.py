@@ -44,11 +44,11 @@ class ForwardOutput:
     score: Tensor   # [B, P] cosine similarities (P may be 0)
 
 
-def one_hot(labels, n_classes: int, dtype=np.float32) -> np.ndarray:
+def one_hot(labels, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min(initial=0) < 0 or labels.max(initial=-1) >= n_classes:
         raise ValueError(f"labels out of range for {n_classes} classes")
-    out = np.zeros((labels.size, n_classes), dtype=dtype)
+    out = np.zeros((labels.size, n_classes), dtype=np.float32)
     out[np.arange(labels.size), labels] = 1.0
     return out
 
@@ -113,9 +113,9 @@ class InstructionModel:
     def _soft_target(self, target, n_cols: int) -> np.ndarray:
         arr = np.asarray(target)
         if arr.ndim == 1:
-            return one_hot(arr, n_cols, dtype=self.dtype)
+            return one_hot(arr, n_cols)
         if arr.ndim == 2:
-            return arr.astype(self.dtype)
+            return arr
         raise ShapeError(f"target must be a label vector or a soft-label matrix, got shape {arr.shape}")
 
     def loss_pred(self, logits: Tensor, target) -> Tensor:

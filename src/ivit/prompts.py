@@ -50,10 +50,8 @@ from .errors import (
 BANK_MAGIC = b"IVPB"
 BANK_VERSION = 1
 
+#: a modality's code in the bank file is its index here
 MODALITIES = ("text", "image", "mixed")
-
-_MODALITY_CODE = {"text": 0, "image": 1, "mixed": 2}
-_MODALITY_NAME = {v: k for k, v in _MODALITY_CODE.items()}
 
 # frozen seed of the toy image encoder's random projection
 _IMAGE_PROJECTION_SEED = 0x49565054
@@ -275,7 +273,7 @@ _HEADER = "<4sIBIIQ"
 
 def save_bank(bank: PromptBank, path) -> None:
     blob = bytearray(struct.pack(
-        _HEADER, BANK_MAGIC, BANK_VERSION, _MODALITY_CODE[bank.modality],
+        _HEADER, BANK_MAGIC, BANK_VERSION, MODALITIES.index(bank.modality),
         bank.n_classes, bank.dim, bank.seed,
     ))
     blob += np.ascontiguousarray(bank.features.astype("<f4")).tobytes()
@@ -293,12 +291,12 @@ def load_bank(path) -> PromptBank:
         raise BadMagicError(f"bad magic {magic!r}, expected {BANK_MAGIC!r}")
     if version != BANK_VERSION:
         raise VersionMismatchError(f"bank version {version} unsupported (expected {BANK_VERSION})")
-    if mod_code not in _MODALITY_NAME:
+    if mod_code >= len(MODALITIES):
         raise FormatError(f"unknown modality code {mod_code}")
     feats = np.frombuffer(r.take(n * dim * 4, "features"), dtype="<f4").reshape(n, dim).copy()
     names = [r.name(f"name {i} of the name table") for i in range(n)]
     r.end(f"the name table ({n} names)")
     try:
-        return PromptBank(names, feats, _MODALITY_NAME[mod_code], seed=seed)
+        return PromptBank(names, feats, MODALITIES[mod_code], seed=seed)
     except ValueError as e:
         raise FormatError(f"bank {path}: {e}") from e

@@ -31,10 +31,10 @@ are Python floats, never numpy float64 scalars, and the constant arrays of
 `mul_const` and `cross_entropy` are cast to their operand's dtype.
 
 `gelu`, `layer_norm` and `softmax` write in place on arrays they allocate
-themselves, forward and backward, and float32 `gelu` walks its input in
-``CHUNK``-element pieces so that its erf pass stays in cache. Every result is
-bit-identical to the op-by-op formula with one fresh array per step, which
-tests/test_kernels.py keeps as the reference.
+themselves, forward and backward, and `gelu` walks its input in
+``CHUNK``-element pieces in both dtypes so that its erf pass stays in cache.
+Every result is bit-identical to the op-by-op formula with one fresh array
+per step, which tests/test_kernels.py keeps as the reference.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ _ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
 _ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
             -7.37332916720468e-03, -1.42647390514189e-02)
 
-#: elements per piece of the chunked float32 gelu. Its erf pass cycles through
-#: four float32 arrays of this length, 2 MiB, the per-core L2 of the 2-core
+#: elements per piece of the chunked gelu. Its float32 erf pass cycles through
+#: four arrays of this length, 2 MiB, the per-core L2 of the 2-core
 #: Xeon it was tuned on. Half as long ran no faster in one thread and about 20%
 #: slower in two, where the eval pool's workers hand the GIL back and forth
 #: between the ~30 array passes of every piece.
@@ -511,46 +511,53 @@ def _erf32(x: np.ndarray, p: np.ndarray, x2: np.ndarray, q: np.ndarray) -> None:
     np.clip(p, -1.0, 1.0, out=p)
 
 
-def erf(x: np.ndarray) -> np.ndarray:
-    """The error function, in the dtype of ``x``.
+def _erf_into(x: np.ndarray, out: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
+    """erf of ``x`` into ``out``: the float32 fit `_erf32`, else ``scipy.special.erf``.
 
-    float32 takes the rational fit ``_ERF32_P`` / ``_ERF32_Q`` through the
-    in-place kernel that `gelu` runs chunk by chunk; both equal the op-by-op
-    formula bit for bit. Max abs error 4.5e-7 against the exact erf (a few
-    float32 ulp near +-1), odd, exactly 0 at 0 and clipped to [-1, 1]. Every
-    other dtype goes to ``scipy.special.erf``, so the float64 gradient check
-    keeps the exact path. scipy is imported here, on the first such call, and
-    nowhere else in the model, so a float32 process never loads
-    ``scipy.special`` (about 21 MB of resident memory and 0.3 s of import on a
-    2-core x86 host).
+    ``x``, ``s1`` and ``s2`` are scratch of its shape. scipy is imported here,
+    on the first non-float32 call, and nowhere else in the model, so a float32
+    process never loads ``scipy.special`` (about 21 MB of resident memory and
+    0.3 s of import on a 2-core x86 host).
     """
-    if x.dtype != np.float32:
+    if x.dtype == np.float32:
+        _erf32(x, out, s1, s2)
+    else:
         from scipy.special import erf as exact_erf
-        return exact_erf(x)
-    xs = x.copy()
-    p = np.empty_like(xs)
-    _erf32(xs, p, np.empty_like(xs), np.empty_like(xs))
-    return p
+        exact_erf(x, out=out)
 
 
-def _gelu32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float32 gelu forward: ``(erf(x / sqrt2), 0.5 * x * (1 + erf(x / sqrt2)))``.
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, in the dtype of ``x``, by the kernel `gelu` runs chunk by chunk.
+
+    float32 takes the rational fit ``_ERF32_P`` / ``_ERF32_Q``, bit for bit
+    the op-by-op formula: max abs error 4.5e-7 against the exact erf (a few
+    float32 ulp near +-1), odd, exactly 0 at 0 and clipped to [-1, 1]. Every
+    other dtype takes ``scipy.special.erf``, so the float64 gradient check
+    keeps the exact erf.
+    """
+    out = np.empty_like(x)
+    _erf_into(x.copy(), out, np.empty_like(x), np.empty_like(x))
+    return out
+
+
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu forward in ``x``'s dtype: ``(erf(x / sqrt2), 0.5 * x * (1 + erf(x / sqrt2)))``.
 
     Walks ``x`` in ``CHUNK``-element pieces through two chunk-sized scratch
     buffers, so the erf pass stays in cache and only the two returned arrays
     are full-size.
     """
     xf = np.ascontiguousarray(x).reshape(-1)
-    c = np.empty(x.shape, np.float32)  # C-contiguous, so the flat views below write into it
-    y = np.empty(x.shape, np.float32)
+    c = np.empty(x.shape, x.dtype)  # C-contiguous, so the flat views below write into it
+    y = np.empty(x.shape, x.dtype)
     cf, yf = c.reshape(-1), y.reshape(-1)
     n = min(xf.size, CHUNK)
-    s1, s2 = np.empty(n, np.float32), np.empty(n, np.float32)
+    s1, s2 = np.empty(n, x.dtype), np.empty(n, x.dtype)
     for lo in range(0, xf.size, CHUNK):
         xs, cs, ys = xf[lo:lo + CHUNK], cf[lo:lo + CHUNK], yf[lo:lo + CHUNK]
         a, b = s1[:xs.size], s2[:xs.size]
         np.multiply(xs, _INV_SQRT2, out=a)
-        _erf32(a, cs, b, ys)  # ys is scratch until the last line
+        _erf_into(a, cs, b, ys)  # ys is scratch until the last line
         np.add(cs, 1.0, out=a)
         np.multiply(xs, 0.5, out=ys)
         ys *= a
@@ -560,17 +567,13 @@ def _gelu32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gelu(x: Tensor) -> Tensor:
     """Exact erf-based gelu (float32 through the rational-fit `erf`).
 
-    float32 is computed in cache-sized chunks, and the backward in place on a
-    buffer of the input's dtype; both are bit-identical to the op-by-op formulas
-    ``0.5 * x * (1 + erf(x / sqrt2))`` and
+    In both dtypes the forward runs in cache-sized chunks and the backward in
+    place on a buffer of the input's dtype; both are bit-identical to the
+    op-by-op formulas ``0.5 * x * (1 + erf(x / sqrt2))`` and
     ``g * (0.5 * (1 + erf(x / sqrt2)) + x * pdf(x))``.
     """
     xd = x.data
-    if xd.dtype == np.float32:
-        c, y = _gelu32(xd)
-    else:
-        c = erf(xd * _INV_SQRT2)
-        y = 0.5 * xd * (1.0 + c)
+    c, y = _gelu_forward(xd)
 
     def bw(g):
         xpdf = xd * -0.5

@@ -46,7 +46,7 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
     Warmup is linear from 0, reaching peak_lr exactly at the end of the
     warmup span; afterwards cosine decay reaches floor_lr exactly at
-    total_steps. The junction is continuous.
+    total_steps, where ``math.cos(math.pi) == -1.0``. The junction is continuous.
     """
     if step < 0 or step > total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
@@ -57,8 +57,6 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
         return lr if math.isfinite(lr) else cfg.peak_lr * (step / warmup_steps)
     if step == warmup_steps:
         return cfg.peak_lr
-    if step == total_steps:
-        return cfg.floor_lr
     t = (step - warmup_steps) / (total_steps - warmup_steps)
     lr = cfg.floor_lr + (cfg.peak_lr - cfg.floor_lr) * 0.5 * (1.0 + math.cos(math.pi * t))
     return min(lr, cfg.peak_lr)  # floor + (peak - floor) can round one ulp past peak
@@ -92,7 +90,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             v = state.v[name] = np.zeros_like(p.data)
         m += (1.0 - b1) * (g - m)
         v += (1.0 - b2) * (g * g - v)
-        p.data -= (lr * (m / c1) / (np.sqrt(v / c2) + eps)).astype(p.data.dtype, copy=False)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def mixup(batch: LabeledBatch, alpha: float, rng: np.random.Generator,
@@ -293,8 +291,6 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     with _blas.single_threaded():
         for epoch in range(1, cfg.epochs + 1):
             sums = {"pred": 0.0, "score": 0.0, "total": 0.0}
-            n_batches = 0
-            lr = 0.0
             for batch in dataset.train_batches(cfg.batch_size, rng=rng):
                 global_step += 1
                 images, target = batch.images, batch.hard_labels
@@ -311,7 +307,6 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
                 sums["pred"] += pred_val
                 sums["score"] += score_val
                 sums["total"] += total
-                n_batches += 1
 
             # before the epoch's eval and checkpoint; final.ckpt holds these same parameters
             for name, p in trainable.items():
@@ -327,9 +322,9 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
                     p.requires_grad = True
             metrics = EpochMetrics(
                 epoch=epoch,
-                loss_pred=sums["pred"] / n_batches,
-                loss_score=sums["score"] / n_batches,
-                loss_total=sums["total"] / n_batches,
+                loss_pred=sums["pred"] / steps_per_epoch,
+                loss_score=sums["score"] / steps_per_epoch,
+                loss_total=sums["total"] / steps_per_epoch,
                 head_top1=ev.head_top1,
                 score_top1=ev.score_top1,
                 lr=lr,
@@ -409,10 +404,10 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     The prompt layout alone picks the route. Plain evaluation runs on a
     thread pool with OpenBLAS held at one thread, so the pool is the only
     parallelism, even with one worker. It cuts the split into contiguous
-    shards of ``ceil(batch_size / workers)`` images, ``workers =
-    min(IVIT_THREADS, batch_size)``, and runs ``batch_size // shard_size``
-    of them at once. A shard is made only once a pool thread is free, so at
-    most ``batch_size`` images are held, whatever IVIT_THREADS is. Groupings
+    shards of ``batch_size // workers`` images, ``workers =
+    min(IVIT_THREADS, batch_size)``, and runs ``workers`` of them at once.
+    A shard is made only once a pool thread is free, so at most
+    ``batch_size`` images are held, whatever IVIT_THREADS is. Groupings
     that are not a multiple of 16 images can move logits in the last float32
     bits, since OpenBLAS picks another kernel: on the benchmark's eval
     model, shards of 21 and of 1 image moved head logits by up to 3.6e-7,
@@ -458,9 +453,8 @@ def evaluate(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBan
     if use_selection:
         results = [work(b) for b in batches(batch_size)]
     else:
-        shard_size = -(-int(batch_size) // workers)
         with _blas.single_threaded():
-            results = _pooled(work, batches(shard_size), int(batch_size) // shard_size)
+            results = _pooled(work, batches(int(batch_size) // workers), workers)
 
     head = sum(r[0] for r in results)
     score = sum(r[1] for r in results)

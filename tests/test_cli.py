@@ -8,6 +8,7 @@ import math
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ivit import dataset as ds
 from ivit import tensor as T
 from ivit.checkpoint import save_checkpoint
 from ivit.cli import main
-from ivit.config import ModelConfig
+from ivit.config import ModelConfig, parse_run_config, run_config_defaults
 from ivit.model import InstructionModel
 from ivit.prompts import load_bank
 
@@ -560,6 +561,26 @@ def test_eval_without_bank_is_argument_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--data", str(tmp_path), "--checkpoint", "x.ckpt"])
     assert exc.value.code == 2
+
+
+def test_readme_run_config_table_lists_every_key_with_its_default(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Run config\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue  # the header, its rule and the prose
+        cells = line.strip("|").split("|")
+        for key_cell, value_cell in (cells[0:2], cells[3:5]):  # two key | default pairs per row
+            keys = re.findall(r"`(\w+)`", key_cell)  # "`adam_beta1` / `adam_beta2`" names two
+            values = [v.strip() for v in value_cell.split("(")[0].split("/")]  # "0.0 (off)" reads 0.0
+            if keys:
+                table.update(zip(keys, values, strict=True))
+    defaults = run_config_defaults()
+    assert sorted(table) == sorted(defaults)
+    path = tmp_path / "readme.cfg"
+    path.write_text("".join(f"{k}={v}\n" for k, v in table.items()), encoding="utf-8")
+    assert parse_run_config(path) == defaults
 
 
 class TestGradcheckCommand:

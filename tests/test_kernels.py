@@ -2,7 +2,7 @@
 
 Each reference below is the op written out one numpy expression at a time,
 allocating a fresh array per step. The library computes the same operations in
-the same order, only in place and (float32 gelu) in ``T.CHUNK``-element
+the same order, only in place and (gelu, in both dtypes) in ``T.CHUNK``-element
 pieces, so every forward value and every gradient must match exactly: in
 float32 and float64, on 2-, 3- and 4-d inputs whose sizes straddle the chunk
 length, and on non-contiguous (transposed) inputs.

@@ -265,6 +265,18 @@ class TestBankFile:
         with pytest.raises(VersionMismatchError):
             load_bank(path)
 
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 255])
+    def test_the_modality_code_is_its_index_in_modalities(self, tmp_path, code):
+        path, _ = self.roundtrip(tmp_path, build_text_bank(["x1"], 8))
+        blob = bytearray(path.read_bytes())
+        blob[8] = code  # the header's modality byte, after the magic and the version
+        path.write_bytes(bytes(blob))
+        if code < 3:
+            assert load_bank(path).modality == ("text", "image", "mixed")[code]
+        else:
+            with pytest.raises(FormatError, match=f"unknown modality code {code}"):
+                load_bank(path)
+
     def test_truncated_features(self, tmp_path):
         path, _ = self.roundtrip(tmp_path, build_text_bank(["x1", "x2"], 8))
         blob = path.read_bytes()

@@ -615,40 +615,43 @@ class TestEvaluate:
             results[threads] = (plain, selected)
         assert results["1"] == results["4"]
 
-    @pytest.mark.parametrize("threads, batch_size", [("8", 2), ("2", 7), ("3", 7)])
+    @pytest.mark.parametrize("threads, batch_size", [("8", 2), ("2", 7), ("3", 7), ("3", 64)])
     def test_the_pool_holds_no_more_than_batch_size_images_whatever_the_cap(self, tmp_path, monkeypatch,
                                                                             threads, batch_size):
-        model, data, bank = tiny_setup(tmp_path, n_classes=4)
+        model, data, bank = tiny_setup(tmp_path, n_classes=4, n_val=64)
         lock = threading.Lock()
-        held, peak = [0], [0]
+        held, peak = [0, 0], [0, 0]  # [images, forwards]
         inner = model.forward
 
         def spy(images, *args, **kwargs):
             with lock:
                 held[0] += len(images)
-                peak[0] = max(peak[0], held[0])
+                held[1] += 1
+                peak[:] = max(peak[0], held[0]), max(peak[1], held[1])
             try:
                 time.sleep(0.05)  # long enough for every free worker to start its own forward
                 return inner(images, *args, **kwargs)
             finally:
                 with lock:
                     held[0] -= len(images)
+                    held[1] -= 1
 
         monkeypatch.setattr(model, "forward", spy)
         monkeypatch.setenv("IVIT_THREADS", threads)
         evaluate(model, data, bank, split="val", batch_size=batch_size)
         assert peak[0] <= batch_size
+        assert peak[1] == min(int(threads), batch_size)  # and no worker idles
 
     @pytest.mark.parametrize("threads, batch_size, forwards", [
         ("1", 7, [7] * 5 + [5]),
-        ("2", 7, [4] * 10),
-        ("3", 7, [3] * 13 + [1]),
+        ("2", 7, [3] * 13 + [1]),
+        ("3", 7, [2] * 20),
         ("4", 12, [3] * 13 + [1]),
         ("4", 64, [16, 16, 8]),
         ("2", 80, [40]),
     ])
-    def test_the_pool_splits_each_batch_into_ceil_batch_size_over_workers(self, tmp_path, monkeypatch,
-                                                                         threads, batch_size, forwards):
+    def test_the_pool_splits_batches_into_floor_batch_size_over_workers(self, tmp_path, monkeypatch,
+                                                                       threads, batch_size, forwards):
         model, data, bank = tiny_setup(tmp_path, n_classes=4, n_val=40)
         seen = []  # (images, ran on a pool thread); list.append is atomic
         inner = trainer_mod._hits
