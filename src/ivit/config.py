@@ -49,8 +49,8 @@ class ModelConfig:
             value = getattr(self, name)
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
-        if not (math.isfinite(self.mlp_ratio) and int(self.dim * self.mlp_ratio) >= 1):
-            raise ConfigError(f"mlp_ratio must be finite with int(dim * mlp_ratio) >= 1, got {self.mlp_ratio}")
+        if not (math.isfinite(self.dim * self.mlp_ratio) and int(self.dim * self.mlp_ratio) >= 1):
+            raise ConfigError(f"mlp_ratio must keep dim * mlp_ratio finite and >= 1 as an int, got {self.mlp_ratio}")
         for name in ("loss_pred_weight", "loss_score_weight"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -134,8 +134,6 @@ class InstructionModel:
             raise ConsistencyError(
                 f"target class {int(hard.max())} has no score column (only {p} prompts present)"
             )
-        if arr.ndim == 2 and arr.shape[1] != p:
-            raise ConsistencyError(f"soft target width {arr.shape[1]} != score columns {p}")
         return T.cross_entropy(score, self._soft_target(target, p))
 
     def combine_losses(self, pred: Tensor, score: Tensor | None) -> Tensor:

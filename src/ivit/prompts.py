@@ -21,11 +21,11 @@ Bank file layout (little-endian throughout):
     features N * D_p float32, row-major
     names   N entries of (u16 length + UTF-8 bytes)
 
-Every feature must be finite, D_p positive, and nothing may follow the name
-table; a file that breaks any of these is a format error. The bytes are read
-through `_binfile.Reader`, which the checkpoint format shares. A bank's seed
-must fit the u64 field, so one outside [0, 2**64) is rejected when the bank
-is built, before anything is written.
+Every feature must be finite, N and D_p positive, and nothing may follow
+the name table; a file that breaks any of these is a format error. The
+bytes are read through `_binfile.Reader`, which the checkpoint format
+shares. A bank's seed must fit the u64 field, so one outside [0, 2**64) is
+rejected when the bank is built, before anything is written.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def check_bank_seed(seed) -> None:
 
 @dataclass
 class PromptBank:
-    """Per-class prompt feature table. Frozen data, never a parameter."""
+    """Per-class prompt feature table of at least one row. Frozen data, never a parameter."""
 
     class_names: list[str]
     features: np.ndarray  # [N, D_p], float32 or float64
@@ -123,6 +123,8 @@ class PromptBank:
             )
         if self.features.shape[1] < 1:
             raise ShapeError("prompt feature width must be positive")
+        if self.features.shape[0] < 1:
+            raise ShapeError("a prompt bank needs at least one row")
         if not np.isfinite(self.features).all():
             raise ValueError("prompt features must be finite")
 
@@ -217,8 +219,6 @@ def _check_width(dim: int) -> None:
 
 def build_text_bank(class_names: list[str], dim: int) -> PromptBank:
     """Encode all 30 rendered sentences per class and average; rows are re-normalized."""
-    if not class_names:
-        raise ValueError("need at least one class")
     _check_width(dim)
     per_class = len(DEFAULT_TEMPLATES)
     encoded = _encode_texts([s for name in class_names for s in render_templates(name)], dim)
@@ -283,7 +283,7 @@ def save_bank(bank: PromptBank, path) -> None:
 
 
 def load_bank(path) -> PromptBank:
-    """Read a bank file; any fault in it, a feature width of 0 included, is a `FormatError`."""
+    """Read a bank file; any fault in it, a feature width or row count of 0 included, is a `FormatError`."""
     with open(path, "rb") as f:
         r = Reader(f.read(), f"bank {path}")
     magic, version, mod_code, n, dim, seed = r.unpack(_HEADER, "header")

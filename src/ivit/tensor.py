@@ -200,9 +200,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     running: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for handle in reversed(topo):
-        g = running.pop(id(handle), None)
-        if g is None:
-            continue
+        g = running.pop(id(handle))
         if type(handle) is not list:
             if handle.requires_grad:  # a leaf frozen since the forward gets nothing
                 grads[handle] = g.copy()

@@ -71,15 +71,13 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place; ``grads`` holds a gradient for every entry of ``params``."""
     state.t += 1
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name}")
         m = state.m.get(name)
@@ -196,7 +194,7 @@ def _train_step(model: InstructionModel, trainable: dict[str, Tensor], state: Ad
     if not math.isfinite(total):
         raise NonFiniteError(f"training loss is {total}")
     leaf_grads = T.backward(loss)
-    grads = {name: leaf_grads[p] for name, p in trainable.items() if p in leaf_grads}
+    grads = {name: leaf_grads[p] for name, p in trainable.items()}
     if cfg.grad_clip > 0:
         _clip_grads(grads, cfg.grad_clip)
     adam_step(trainable, grads, state, lr, cfg)
@@ -246,9 +244,10 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
 
     Before any work, `check_agreement` rejects a model, dataset and bank that
     disagree (class lists, head width, image geometry, prompt width) with
-    ``ConsistencyError``, and a ``select_in_training`` model with
-    ``select_k < 1`` or mixup on raises ``ConfigError``: a rejected call
-    makes no directory, changes no flag and runs no forward.
+    ``ConsistencyError``, a ``select_in_training`` model with
+    ``select_k < 1`` or mixup on raises ``ConfigError``, and a seed numpy
+    cannot seed from (a negative one) raises numpy's ``ValueError``: a
+    rejected call makes no directory, changes no flag and runs no forward.
 
     Every training forward gets ``bank``'s feature rows and the run's
     attention-dropout rng as arguments; the model keeps neither. When ``out_dir`` is set, a
@@ -274,9 +273,11 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
         if cfg.mixup_alpha > 0:
             raise ConfigError("select_in_training with mixup is undefined; set mixup_alpha=0")
 
+    # numpy rejects a negative seed here, before any flag changes
+    rng = np.random.default_rng([cfg.seed, 0x7EA1])
+    dropout_rng = np.random.default_rng([cfg.seed, 0xD120])
     trainable, _, _ = apply_freeze(model, cfg.regime)
     state = AdamState()
-    rng = np.random.default_rng([cfg.seed, 0x7EA1])
 
     steps_per_epoch = math.ceil(dataset.meta.n_train / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
@@ -285,7 +286,6 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    dropout_rng = np.random.default_rng([cfg.seed, 0xD120])
     # the steps' GEMMs are too small for BLAS threads to pay, and workers they
     # wake keep spinning next to the per-epoch eval's pool
     with _blas.single_threaded():

@@ -95,6 +95,12 @@ class TestEncoder:
         expected = T.layer_norm(x, bb.final_ln.gain, bb.final_ln.bias)
         np.testing.assert_array_equal(out.data, expected.data)
 
+    @pytest.mark.parametrize("shape", [(5, 16), (2, 5, 8)])
+    def test_tokens_of_another_shape_rejected(self, shape):
+        with pytest.raises(ShapeError) as info:
+            make_backbone().encoder_forward(Tensor(np.zeros(shape)))
+        assert str(info.value) == f"tokens shape {shape} is not [B, T, 16]"
+
     def test_shape_preserved_through_blocks(self):
         bb = make_backbone(depth=3)
         x = Tensor(np.random.default_rng(2).normal(size=(2, 7, 16)), dtype=np.float64)

@@ -364,6 +364,21 @@ class TestTrainEval:
         # no checkpoint of the failing epoch, no final.ckpt and no metrics.csv
         assert sorted(os.listdir(run_dir)) == [f"epoch_{e:03d}.ckpt" for e in range(1, failing)]
 
+    @pytest.mark.parametrize("text,message", [
+        ("# a comment, then a blank line\n\nepochs\n", "{cfg}:3: expected key=value, got 'epochs'"),
+        ("epochs=two\n", "bad value for epochs: 'two'"),
+        ("select_in_training=maybe\n", "bad value for select_in_training: 'maybe'"),
+        ("image_size=8\nselect_in_training = Yes\n", "select_in_training needs select_k >= 1"),
+    ], ids=["no-equals-sign", "bad-int", "bad-bool", "bool-true"])
+    def test_config_file_line_error_exits_2_with_its_message(self, tmp_path, data_dir, bank_path, capsys, text,
+                                                             message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                           "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert (code, err) == (2, f"error: {message.format(cfg=cfg)}\n")
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, data_dir, bank_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("learnign_rate=0.1\n")
@@ -390,6 +405,9 @@ class TestTrainEval:
         {"mixup_alpha": -0.1},
         {"grad_clip": "inf"},
         {"grad_clip": -1.0},
+        {"floor_lr": 0.01},
+        {"warmup_epochs": 3},
+        {"regime": "frozen"},
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_bad_train_config_exits_2(self, tmp_path, data_dir, bank_path, capsys, overrides):
         code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
@@ -421,6 +439,7 @@ class TestTrainEval:
         {"attn_dropout": "nan"},
         {"dim": 15},
         {"patch_size": 3},
+        {"mlp_ratio": 1e308},
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_bad_model_config_exits_2(self, tmp_path, data_dir, bank_path, capsys, overrides):
         code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),

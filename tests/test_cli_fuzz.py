@@ -1,4 +1,4 @@
-"""`cli.main` on random argv: every run ends in a documented exit code.
+"""`cli.main` on random argv and random run configs: every run ends in a documented exit code.
 
 Each example picks a subcommand (or a stray word) and gives each of its
 flags a good value, except for up to two flags, which are left out or get a
@@ -9,6 +9,13 @@ past int64, where numpy refuses any array they size at once; sizes in
 between would really be allocated.
 Damage is a cut or one to three flipped bytes, so a damaged config holds at
 most one-digit changes to its small values and every run stays short.
+
+A second strategy runs ``train`` on good artifacts with a drawn ``--config``
+file: the good config with one to four lines put in at drawn places, each a
+``key=value`` over the run-config keys (or a misspelt one) with a drawn value,
+a comment, a blank line or a line without ``=``. Later lines win, so a drawn
+line overrides the good one. ``epochs`` and ``depth`` size loops, not arrays,
+so they draw no value past int64.
 """
 
 import contextlib
@@ -23,7 +30,7 @@ from hypothesis import strategies as st
 
 from ivit.checkpoint import save_checkpoint
 from ivit.cli import main
-from ivit.config import ModelConfig
+from ivit.config import ModelConfig, run_config_defaults
 from ivit.model import InstructionModel
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
@@ -48,6 +55,11 @@ COMMANDS = {
 # a good value for each number flag, so that most runs get past argument checks
 GOOD = {"--classes": "2", "--train": "3", "--val": "2", "--size": "4", "--channels": "1", "--seed": "1",
         "--noise-std": "0.5", "--dim": "8", "--select-k": "1"}
+
+# every run-config key, a misspelt one, and a value of each kind any key takes
+CONFIG_KEYS = tuple(run_config_defaults()) + ("learnign_rate",)
+CONFIG_VALUES = FLOATS + TEXT + ("0.5", "true", "No", "full", "prompt_tuning", " 2 ")
+LOOP_KEYS = ("epochs", "depth")
 
 CONFIG = ("image_size=4\npatch_size=2\nchannels=1\ndim=8\ndepth=1\nheads=2\nmlp_ratio=2.0\n"
           "epochs=1\nbatch_size=2\nwarmup_epochs=0\n")
@@ -188,3 +200,34 @@ def test_a_size_too_large_to_allocate_is_an_argument_error(tmp_path, monkeypatch
     code, _, err = run_main(["gen-data", "--out", str(tmp_path / "d"), "--classes", "2", "--train", "2147483648",
                              "--val", "2"])
     assert (code, err) == (2, f"error: {message}\n")
+
+
+def draw_config(data, path: str) -> None:
+    """Write the good ``CONFIG`` to ``path`` with one to four drawn lines put in at drawn places."""
+    lines = CONFIG.splitlines()
+    for _ in range(data.draw(st.integers(1, 4), label="drawn lines")):
+        kind = data.draw(st.sampled_from(("key=value", "key=value", "comment", "blank", "no =")), label="kind")
+        key = data.draw(st.sampled_from(CONFIG_KEYS), label="key")
+        ints = INTS[:6] if key in LOOP_KEYS else INTS  # the last two are past int64
+        values = ints + CONFIG_VALUES
+        line = {"key=value": f"{key}={data.draw(st.sampled_from(values), label='value')}",
+                "comment": f"# {key}=", "blank": "  ", "no =": key}[kind]
+        lines.insert(data.draw(st.integers(0, len(lines)), label="at"), line)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+@FUZZ
+@given(data=st.data())
+def test_random_config_file_ends_in_a_documented_exit_code(artifacts, data):
+    with tempfile.TemporaryDirectory() as work:
+        config = os.path.join(work, "run.cfg")
+        draw_config(data, config)
+        argv = ["train", "--data", artifacts["data"], "--bank", artifacts["bank"], "--config", config,
+                "--out", os.path.join(work, "out")]
+        code, out, err = run_main(argv)
+        with open(config, encoding="utf-8") as f:
+            text = f.read()
+    assert code in range(6), (text, code, err)
+    assert sum("error:" in line for line in err.splitlines()) <= 1, (text, err)
+    assert "Traceback" not in out + err, (text, err)

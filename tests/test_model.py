@@ -177,6 +177,19 @@ class TestLosses:
         with pytest.raises(ConsistencyError, match="score column"):
             model.loss_score(score, np.array([3]))
 
+    @pytest.mark.parametrize("loss,target,error,message", [
+        ("loss_pred", [0, 4], ValueError, "labels out of range for 4 classes"),
+        ("loss_pred", [-1, 0], ValueError, "labels out of range for 4 classes"),
+        ("loss_pred", np.zeros((2, 4, 1)), ShapeError,
+         "target must be a label vector or a soft-label matrix, got shape (2, 4, 1)"),
+        ("loss_score", np.full((2, 3), 1 / 3), ShapeError, "cross_entropy: logits (2, 4) vs target (2, 3)"),
+    ], ids=["label-past-the-head", "negative-label", "3-d-target", "soft-score-target-too-narrow"])
+    def test_bad_target_rejected(self, loss, target, error, message):
+        model, _ = make_model(n_classes=4)
+        with pytest.raises(error) as info:
+            getattr(model, loss)(Tensor(np.zeros((2, 4))), np.asarray(target))
+        assert type(info.value) is error and str(info.value) == message
+
     def test_total_is_plain_sum(self):
         model, prompts = make_model(n_classes=2, n_prompts=2)
         out = model.forward(images_for(model), prompts)

@@ -102,6 +102,13 @@ class TestToyImageEncoder:
         with pytest.raises(Exception):
             toy_image_encode(np.zeros((3, 2, 2)), 16)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        image = np.zeros((3, 8, 8))
+        image[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="^image pixels must be finite$"):
+            toy_image_encode(image, 16)
+
 
 class TestTextBank:
     def test_bank_shape_and_metadata(self):
@@ -123,7 +130,7 @@ class TestTextBank:
         np.testing.assert_allclose(a.features, b.features, atol=1e-6)
 
     def test_empty_class_list_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="^a prompt bank needs at least one row$"):
             build_text_bank([], 32)
 
     def test_rows_unit_norm(self):
@@ -175,11 +182,22 @@ class TestPromptBank:
         assert stored.dtype == expected.dtype
         np.testing.assert_array_equal(stored, expected)
 
-    @pytest.mark.parametrize("rows", [[1.0, 2.0], np.zeros((2, 2, 2)), np.zeros((3, 2)), np.zeros((2, 0))],
-                             ids=["1-D", "3-D", "row-count", "zero-width"])
-    def test_bad_shape_raises_shape_error(self, rows):
-        with pytest.raises(ShapeError):
-            PromptBank(["a", "b"], rows, "text")
+    @pytest.mark.parametrize("names,rows,message", [
+        (["a", "b"], [1.0, 2.0], "features shape (2,) does not match 2 class names"),
+        (["a", "b"], np.zeros((2, 2, 2)), "features shape (2, 2, 2) does not match 2 class names"),
+        (["a", "b"], np.zeros((3, 2)), "features shape (3, 2) does not match 2 class names"),
+        (["a", "b"], np.zeros((2, 0)), "prompt feature width must be positive"),
+        ([], np.zeros((0, 2)), "a prompt bank needs at least one row"),
+    ], ids=["1-D", "3-D", "row-count", "zero-width", "zero-rows"])
+    def test_bad_shape_raises_shape_error(self, names, rows, message):
+        with pytest.raises(ShapeError) as info:
+            PromptBank(names, rows, "text")
+        assert str(info.value) == message
+
+    def test_unknown_modality_rejected(self):
+        with pytest.raises(ValueError) as info:
+            PromptBank(["a"], [[1.0]], "audio")
+        assert str(info.value) == "unknown modality 'audio'"
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_u64_rejected(self, seed):
@@ -228,6 +246,12 @@ class TestMixedBank:
         text, image = self.make_pair()
         image.class_names = ["a", "c"]
         with pytest.raises(ConsistencyError):
+            build_mixed_bank(text, image)
+
+    def test_width_mismatch_rejected(self):
+        text, _ = self.make_pair()
+        image = PromptBank(["a", "b"], np.eye(2, 3), "image")
+        with pytest.raises(ConsistencyError, match=r"^prompt widths differ: text 2 vs image 3$"):
             build_mixed_bank(text, image)
 
 
@@ -296,6 +320,21 @@ class TestBankFile:
         path.write_bytes(path.read_bytes() + b"\x02xy")
         with pytest.raises(FormatError, match="name table"):
             load_bank(path)
+
+    def test_zero_rows_rejected(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path, build_text_bank(["x1"], 8))
+        blob = path.read_bytes()
+        # N = 0, then the header's D_p and seed, and no feature rows or names
+        path.write_bytes(blob[:9] + (0).to_bytes(4, "little") + blob[13:25])
+        with pytest.raises(FormatError) as info:
+            load_bank(path)
+        assert str(info.value) == f"bank {path}: a prompt bank needs at least one row"
+
+    def test_name_too_long_for_its_u16_length_is_not_written(self, tmp_path):
+        bank = PromptBank(["a" * 0x10000], [[1.0]], "text")
+        with pytest.raises(ValueError, match=r"^name too long to serialize: 'a{32}'\.\.\.$"):
+            save_bank(bank, tmp_path / "bank.ivpb")
+        assert not (tmp_path / "bank.ivpb").exists()
 
     def test_name_that_is_not_utf8_rejected(self, tmp_path):
         path, _ = self.roundtrip(tmp_path, build_text_bank(["x1", "x2"], 8))

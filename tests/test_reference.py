@@ -6,11 +6,13 @@ model must match it to 1e-10; a float32 model within float32 rounding.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivit import reference
 from ivit.config import ModelConfig
+from ivit.errors import ShapeError
 from ivit.model import InstructionModel
 
 #: float32's unit roundoff
@@ -93,3 +95,13 @@ def test_float32_model_matches_the_reference_within_rounding(case):
     for got, want in compare(case, np.float32):
         err = np.abs(np.asarray(got, dtype=np.float64) - want)
         assert np.all(err <= FLOAT32_UNITS * U32 * np.maximum(1.0, np.abs(want)))
+
+
+def test_model_and_reference_reject_a_soft_target_of_another_width_than_the_score_row():
+    cfg = ModelConfig(image_size=2, patch_size=1, channels=1, dim=2, heads=1, depth=0, prompt_dim=2, n_classes=2)
+    model, images, prompts, target = build((cfg, 3, 2, True, 0), np.float64)
+    params = {name: p.data[None] for name, p in model.named_parameters()}
+    with pytest.raises(ValueError, match=r"^soft target width 2 != 3 columns$"):
+        reference.forward(cfg, params, images, prompts, target)
+    with pytest.raises(ShapeError, match=r"^cross_entropy: logits \(2, 3\) vs target \(2, 2\)$"):
+        model.total_loss(model.forward(images, prompts), target)

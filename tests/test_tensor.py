@@ -42,6 +42,7 @@ class TestMatmul:
         for shape_a, shape_b in (
             ((3, 4), (5, 2)),     # inner dims disagree
             ((2, 3, 4), (4, 2)),  # stacked rows through one matrix is linear's form, not matmul's
+            ((3,), (3, 2)),       # a vector is no matrix
         ):
             with pytest.raises(ShapeError, match=re.escape(f"{shape_a} @ {shape_b}")):
                 T.matmul(Tensor(np.zeros(shape_a)), Tensor(np.zeros(shape_b)))
@@ -155,6 +156,9 @@ class TestBackward:
         np.testing.assert_array_equal(second[x], first[x])
         np.testing.assert_array_equal(first[x], [[1.0, 1.0]])
         assert not np.shares_memory(first[x], second[x])
+
+    def test_loss_without_a_graph_has_no_gradients(self):
+        assert T.backward(T.scale(Tensor([[2.0]], requires_grad=False), 3.0)) == {}
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
@@ -326,6 +330,38 @@ def test_evaluation_is_deterministic():
         return T.softmax(T.matmul(Tensor(x), Tensor(w))).data
 
     assert np.array_equal(run(), run())
+
+
+def zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: zeros(2).item(), "item() needs a single-element tensor, got shape (2,)"),
+    (lambda: T.mul_const(zeros(2, 3), np.ones(3)), "mul_const: mask shape (3,) != tensor shape (2, 3)"),
+    (lambda: T.add_bias(zeros(3), zeros(2, 3)), "add_bias: bias shape (2, 3) does not match trailing dims of (3,)"),
+    (lambda: T.add_bias(zeros(2, 3), zeros(2)), "add_bias: bias shape (2,) does not match trailing dims of (2, 3)"),
+    (lambda: T.broadcast_batch(zeros(3), 0), "broadcast_batch: batch must be >= 1, got 0"),
+    (lambda: T.reshape(zeros(2, 3), (4,)), "reshape: cannot view (2, 3) as (4,)"),
+    (lambda: T.concat([], axis=0), "concat: need at least one tensor"),
+    (lambda: T.concat([zeros(2, 3), zeros(2)], axis=0), "concat: rank mismatch (2, 3) vs (2,)"),
+    (lambda: T.concat([zeros(2, 3), zeros(2, 4)], axis=0), "concat: shapes (2, 3) and (2, 4) differ off axis 0"),
+    (lambda: T.narrow(zeros(2, 3), 1, 2, 2), "narrow: range [2, 4) out of bounds for axis 1 of (2, 3)"),
+    (lambda: T.batched_dot(zeros(2, 3), zeros(2, 3)), "batched_dot: need [B,D] and [B,P,D], got (2, 3) and (2, 3)"),
+    (lambda: T.batched_dot(zeros(2, 3), zeros(2, 4, 4)), "batched_dot: shapes (2, 3) and (2, 4, 4) are inconsistent"),
+    (lambda: T.layer_norm(zeros(2, 3), zeros(3), zeros(2)),
+     "layer_norm: gain/bias must have shape (3,), got (3,) and (2,)"),
+], ids=["item", "mul_const", "add_bias-rank", "add_bias-dims", "broadcast_batch", "reshape", "concat-empty",
+        "concat-rank", "concat-dims", "narrow", "batched_dot-rank", "batched_dot-dims", "layer_norm"])
+def test_shape_errors_name_the_op_and_the_shapes(call, message):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_repr_names_shape_dtype_and_flag():
+    assert repr(Tensor(np.zeros((2, 3)), requires_grad=True)) == \
+        "Tensor(shape=(2, 3), dtype=float64, requires_grad=True)"
 
 
 def test_no_implicit_broadcasting():

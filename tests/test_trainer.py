@@ -20,7 +20,7 @@ from ivit import dataset as ds
 from ivit import tensor as tensor_mod
 from ivit import trainer as trainer_mod
 from ivit.config import REGIMES, ModelConfig, TrainConfig
-from ivit.errors import ConfigError, ConsistencyError, NonFiniteError
+from ivit.errors import ConfigError, ConsistencyError, NonFiniteError, ShapeError
 from ivit.model import InstructionModel
 from ivit.prompts import build_text_bank
 from ivit.selection import select, selected_bank
@@ -150,6 +150,13 @@ class TestAdam:
             return p.data.copy()
 
         assert np.array_equal(run(), run())
+
+    def test_gradient_of_another_shape_rejected(self):
+        p = Tensor(np.ones((3, 2)), requires_grad=True)
+        with pytest.raises(ShapeError) as info:
+            adam_step({"w": p}, {"w": np.ones((2, 3))}, AdamState(), 1e-2, DEFAULTS)
+        assert str(info.value) == "gradient shape (2, 3) != parameter shape (3, 2) for w"
+        np.testing.assert_array_equal(p.data, np.ones((3, 2)))
 
     def test_moments_are_allocated_once(self, monkeypatch):
         made = []
@@ -305,6 +312,56 @@ def test_non_finite_parameter_stops_before_the_checkpoint(tmp_path, monkeypatch)
         train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, mixup_alpha=0.0),
               out_dir=str(out))
     assert os.listdir(out) == []
+
+
+def test_a_non_finite_loss_stops_the_step_before_its_backward(tmp_path, monkeypatch):
+    model, data, bank = tiny_setup(tmp_path)
+    backwards = []
+    monkeypatch.setattr(InstructionModel, "total_loss",
+                        lambda self, out, target: (Tensor(np.float32(np.nan)), np.nan, np.nan))
+    monkeypatch.setattr(tensor_mod, "backward", backwards.append)
+    out = tmp_path / "run"
+    with pytest.raises(NonFiniteError, match=r"^epoch 1, step 1: training loss is nan$"):
+        train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, mixup_alpha=0.0),
+              out_dir=str(out))
+    assert backwards == [] and os.listdir(out) == []
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("depth,select_k", [(1, 0), (0, 1)], ids=["plain", "depth0-select1"])
+def test_every_trainable_parameter_gets_a_gradient_at_every_step(tmp_path, monkeypatch, regime, depth, select_k):
+    """`narrow` and `concat` pass zeros to the rows they drop, so a loss reaches every parameter.
+
+    With ``select_k=1`` no image of this data keeps its true class, so no
+    step's loss has a score term; the prompt projection is still reached.
+    """
+    _, data, bank = tiny_setup(tmp_path, n_classes=4, n_train=16, n_val=8, seed=2)
+    model = InstructionModel(ModelConfig(image_size=8, patch_size=4, channels=3, dim=16, depth=depth, heads=2,
+                                         mlp_ratio=2.0, prompt_dim=16, n_classes=4, select_k=select_k,
+                                         select_in_training=select_k > 0), seed=1)
+    real_backward = tensor_mod.backward
+    reached = []
+
+    def recording_backward(loss):
+        grads = real_backward(loss)
+        reached.append({name for name, p in model.named_parameters() if p in grads})
+        return grads
+
+    monkeypatch.setattr(tensor_mod, "backward", recording_backward)
+    history = train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, mixup_alpha=0.0,
+                                                   regime=regime))
+    trainable = {name for name in model.parameter_dict() if name.startswith(TRAINABLE[regime])}
+    assert reached == [trainable, trainable]
+    assert (history[0].loss_score == 0.0) == (select_k > 0)
+
+
+def test_a_negative_seed_is_rejected_before_any_flag_changes(tmp_path):
+    model, data, bank = tiny_setup(tmp_path)
+    before = mixed_flags(model)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        train(model, data, bank, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, seed=-1),
+              out_dir=str(tmp_path / "run"))
+    assert requires_grad_flags(model) == before and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("select", [False, True])
@@ -751,6 +808,11 @@ class TestEvaluate:
                 evaluate(model, data, bank, select_k=select_k, split="val", batch_size=batch_size)
         with pytest.raises(ValueError, match="batch_size"):
             data.train_batches(batch_size)
+
+    def test_unknown_split_rejected(self, tmp_path):
+        model, data, bank = tiny_setup(tmp_path)
+        with pytest.raises(ValueError, match=r"^unknown split 'test'$"):
+            evaluate(model, data, bank, split="test")
 
     def test_numpy_integer_batch_size_batches_as_an_int(self, tmp_path):
         model, data, bank = tiny_setup(tmp_path)
