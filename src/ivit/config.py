@@ -49,8 +49,13 @@ class ModelConfig:
             value = getattr(self, name)
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
-        if not (math.isfinite(self.dim * self.mlp_ratio) and int(self.dim * self.mlp_ratio) >= 1):
-            raise ConfigError(f"mlp_ratio must keep dim * mlp_ratio finite and >= 1 as an int, got {self.mlp_ratio}")
+        try:
+            hidden = self.dim * self.mlp_ratio
+        except OverflowError:  # a dim past float range, 309 digits or more
+            hidden = math.inf
+        if not (math.isfinite(hidden) and int(hidden) >= 1):
+            raise ConfigError(f"dim * mlp_ratio must be finite and >= 1 as an int, got dim {self.dim}"
+                              f" and mlp_ratio {self.mlp_ratio}")
         for name in ("loss_pred_weight", "loss_score_weight"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

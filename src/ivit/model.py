@@ -2,14 +2,14 @@
 
 Input tokens are assembled as [CLS | patches(+positions) | prompts]; the
 prompt segment is the ``[P, D_p]`` array of prompt rows passed to that
-forward call, pushed through a trainable affine projection and broadcast
-identically to every batch element, with no positional embedding. After the
-encoder, the CLS output feeds the classification head, and cosine
-similarities between the normalized CLS output and each normalized prompt
-output form the score row used by the similarity loss; the prompt segment is
-whatever follows CLS and the config's ``n_patches`` patch tokens. The model
-holds only parameters: the prompt rows and the attention-dropout rng are
-arguments of each forward call.
+forward call (P >= 0, a required argument), pushed through a trainable affine
+projection and broadcast identically to every batch element, with no
+positional embedding. After the encoder, the CLS output feeds the
+classification head, and cosine similarities between the normalized CLS
+output and each of the last P outputs, normalized, form the [B, P] score row
+used by the similarity loss. Every P takes the same path; P = 0 adds no
+token and gives an empty score row. The model holds only parameters: the
+prompt rows and the attention-dropout rng are arguments of each forward call.
 
 Pixels and prompt rows arrive as plain arrays, since neither is ever
 differentiated; they become ``Tensor``s only where a parameter first
@@ -64,48 +64,41 @@ class InstructionModel:
 
     # -- forward ------------------------------------------------------------
 
-    def assemble(self, images: np.ndarray, prompts: np.ndarray | None = None) -> Tensor:
+    def assemble(self, images: np.ndarray, prompts: np.ndarray) -> Tensor:
         """Build the [B, T, dim] [CLS | patches | prompts] input block.
 
         ``images`` is [B, C, H, W] and ``prompts`` a [P, D_p] array shared by
-        every image; no prompts or zero rows add no prompt tokens. The
-        backbone's positional table is added to the CLS and patch rows only;
-        `Backbone.patch_embed` has already checked the image shape, so the
-        table and the patch count agree.
+        every image, P >= 0. The backbone's positional table is added to the
+        CLS and patch rows only; `Backbone.patch_embed` has already checked
+        the image shape, so the table and the patch count agree.
         """
-        if prompts is not None:
-            prompts = np.asarray(prompts)
-            if prompts.ndim != 2:
-                raise ShapeError(f"prompt rows must be [P, D_p], got shape {prompts.shape}")
-            if prompts.shape[1] != self.config.prompt_dim:
-                raise ConsistencyError(
-                    f"bank feature width {prompts.shape[1]} != configured prompt_dim {self.config.prompt_dim}"
-                )
+        prompts = np.asarray(prompts)
+        if prompts.ndim != 2:
+            raise ShapeError(f"prompt rows must be [P, D_p], got shape {prompts.shape}")
+        if prompts.shape[1] != self.config.prompt_dim:
+            raise ConsistencyError(
+                f"bank feature width {prompts.shape[1]} != configured prompt_dim {self.config.prompt_dim}"
+            )
         patches = self.backbone.patch_embed(images)
         b = patches.shape[0]
         cls = T.broadcast_batch(self.backbone.cls_token, b)
         seq = T.add_bias(T.concat([cls, patches], axis=1), self.backbone.pos_embed)
-        if prompts is not None and prompts.shape[0] > 0:
-            rows = Tensor(prompts, dtype=self.dtype)
-            seq = T.concat([seq, T.broadcast_batch(self.prompt_embed(rows), b)], axis=1)
-        return seq
+        rows = self.prompt_embed(Tensor(prompts, dtype=self.dtype))
+        return T.concat([seq, T.broadcast_batch(rows, b)], axis=1)
 
-    def forward(self, images: np.ndarray, prompts: np.ndarray | None = None,
+    def forward(self, images: np.ndarray, prompts: np.ndarray,
                 dropout_rng: np.random.Generator | None = None) -> ForwardOutput:
-        """One batch with ``prompts`` as the prompt rows (none: empty score row).
+        """One batch with the [P, D_p] ``prompts`` as the prompt rows; P = 0 gives an empty score row.
 
         ``dropout_rng`` turns attention dropout on for this call only.
         """
         tokens = self.backbone.encoder_forward(self.assemble(images, prompts), dropout_rng=dropout_rng)
         b, t, d = tokens.shape
-        n_prompts = t - 1 - self.config.n_patches
+        p = len(prompts)
         cls_out = T.reshape(T.narrow(tokens, 1, 0, 1), (b, d))
         logits = self.head(cls_out)
-        if n_prompts > 0:
-            prompt_out = T.narrow(tokens, 1, t - n_prompts, n_prompts)
-            score = T.batched_dot(T.l2_normalize(cls_out), T.l2_normalize(prompt_out))
-        else:
-            score = Tensor(np.zeros((b, 0), dtype=tokens.dtype))
+        prompt_out = T.narrow(tokens, 1, t - p, p)
+        score = T.batched_dot(T.l2_normalize(cls_out), T.l2_normalize(prompt_out))
         return ForwardOutput(logits=logits, score=score)
 
     # -- losses -------------------------------------------------------------
@@ -145,7 +138,8 @@ class InstructionModel:
     def total_loss(self, out: ForwardOutput, target) -> tuple[Tensor, float, float]:
         """Weighted sum of both losses, plus the unweighted ``loss_pred`` and ``loss_score`` values.
 
-        The score term is skipped when no prompts are present; its value is then 0.0.
+        The score term is skipped when P = 0, since cross-entropy over zero
+        columns is undefined; its value is then 0.0.
         """
         pred = self.loss_pred(out.logits, target)
         score = self.loss_score(out.score, target) if out.score.shape[1] else None

@@ -41,7 +41,7 @@ class Output(NamedTuple):
     logits: np.ndarray      # [S, B, C]
     score: np.ndarray       # [S, B, P]; P may be 0
     loss_pred: np.ndarray   # [S]
-    loss_score: np.ndarray  # [S]; 0 without prompt rows
+    loss_score: np.ndarray  # [S]; 0 when P = 0
     loss: np.ndarray        # [S], the weighted sum
 
 
@@ -122,13 +122,13 @@ def _cross_entropy(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], images: np.ndarray,
-            prompts: np.ndarray | None, target) -> Output:
+            prompts: np.ndarray, target) -> Output:
     """Logits, score row and losses of each parameter set.
 
     ``images`` is [B, C, H, W], ``prompts`` [P, D_p] rows shared by every image
-    (None or no rows: an empty score row and no score loss), and ``target``
-    hard labels [B] or soft rows [B, n_classes]. A soft target is also the
-    score target, so it needs one prompt row per class.
+    (P = 0: an empty score row and no score loss), and ``target`` hard labels
+    [B] or soft rows [B, n_classes]. A soft target is also the score target,
+    so it needs one prompt row per class.
     """
     params = {name: np.asarray(p, dtype=np.float64) for name, p in params.items()}
     images = np.asarray(images, dtype=np.float64)
@@ -138,9 +138,9 @@ def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], images: np.ndarr
     x = x.transpose(0, 2, 4, 1, 3, 5).reshape(1, b, cfg.n_patches, cfg.patch_dim)
     patches = _linear(x, params, "backbone.patch_embed")
     cls, pos = params["backbone.cls_token"], params["backbone.pos_embed"]
-    n_prompts = 0 if prompts is None else len(prompts)
-    rows = (_linear(np.asarray(prompts, dtype=np.float64)[None], params, "prompt_embed") if n_prompts
-            else np.empty((1, 0, cfg.dim)))
+    prompts = np.asarray(prompts, dtype=np.float64)
+    n_prompts = len(prompts)
+    rows = _linear(prompts[None], params, "prompt_embed")
     # [CLS | patches] + positions, then the prompt rows, written into one
     # [S, B, T, D] block; each assignment broadcasts the set and batch axes
     n = 1 + cfg.n_patches
@@ -160,13 +160,12 @@ def forward(cfg: ModelConfig, params: Mapping[str, np.ndarray], images: np.ndarr
     cls_out = x[:, :, 0]
     logits = _linear(cls_out, params, "head")
     loss_pred = _cross_entropy(logits, _targets(target, cfg.n_classes))
+    prompt_out = x[:, :, x.shape[2] - n_prompts:]
+    score = np.einsum("sbd,sbpd->sbp", _l2_normalize(cls_out), _l2_normalize(prompt_out))
     loss = loss_pred * float(cfg.loss_pred_weight)
-    if n_prompts:
-        prompt_out = x[:, :, x.shape[2] - n_prompts:]
-        score = np.einsum("sbd,sbpd->sbp", _l2_normalize(cls_out), _l2_normalize(prompt_out))
+    if n_prompts:  # cross-entropy over zero columns is undefined
         loss_score = _cross_entropy(score, _targets(target, n_prompts))
         loss = loss + loss_score * float(cfg.loss_score_weight)
     else:
-        score = np.zeros(x.shape[:2] + (0,))
         loss_score = np.zeros_like(loss_pred)
     return Output(logits, score, loss_pred, loss_score, loss)

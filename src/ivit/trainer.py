@@ -279,7 +279,7 @@ def train(model: InstructionModel, dataset: SyntheticDataset, bank: PromptBank,
     trainable, _, _ = apply_freeze(model, cfg.regime)
     state = AdamState()
 
-    steps_per_epoch = math.ceil(dataset.meta.n_train / cfg.batch_size)
+    steps_per_epoch = -(-dataset.meta.n_train // cfg.batch_size)  # exact for any int, unlike a float quotient
     total_steps = steps_per_epoch * cfg.epochs
     global_step = 0
     history: list[EpochMetrics] = []

@@ -78,12 +78,13 @@ class TestPositional:
         model = self.make_model()
         model.backbone.pos_embed.data[...] = 0.0
         images = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
-        out = model.assemble(images)
+        out = model.assemble(images, np.zeros((0, model.config.prompt_dim)))
         np.testing.assert_array_equal(out.data[:, 0], np.repeat(model.backbone.cls_token.data, 2, axis=0))
         np.testing.assert_array_equal(out.data[:, 1:], model.backbone.patch_embed(images).data)
 
     def test_output_shape(self):
-        out = self.make_model().assemble(np.zeros((3, 3, 8, 8)))
+        model = self.make_model()
+        out = model.assemble(np.zeros((3, 3, 8, 8)), np.zeros((0, model.config.prompt_dim)))
         assert out.shape == (3, 1 + 4, 16)
 
 

@@ -417,6 +417,21 @@ class TestTrainEval:
         assert "Traceback" not in err
         assert err.startswith("error: ") and next(iter(overrides)) in err
 
+    def test_a_batch_size_past_float_range_trains_one_step_over_the_split_per_epoch(
+            self, tmp_path, data_dir, bank_path, capsys):
+        """A 400-digit batch_size once made ``n_train / batch_size`` round to 0.0 steps per epoch, so
+        the first step failed the schedule's range check; it now trains as batch_size=n_train does."""
+        csv = {}
+        for batch_size in ("32", "1" + "0" * 400):
+            run_dir = tmp_path / f"run{len(batch_size)}"
+            code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),
+                               "--config", str(fast_config(tmp_path, batch_size=batch_size)),
+                               "--out", str(run_dir))
+            assert (code, err) == (0, "")
+            csv[batch_size] = (run_dir / "metrics.csv").read_text()
+        assert len(csv["32"].splitlines()) == 1 + 2  # header + one row per epoch
+        assert csv["1" + "0" * 400] == csv["32"]
+
     @pytest.mark.parametrize("overrides", [
         {"image_size": 0},
         {"patch_size": 0},
@@ -440,6 +455,7 @@ class TestTrainEval:
         {"dim": 15},
         {"patch_size": 3},
         {"mlp_ratio": 1e308},
+        pytest.param({"dim": "1" + "0" * 400}, id="dim=10**400"),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_bad_model_config_exits_2(self, tmp_path, data_dir, bank_path, capsys, overrides):
         code, _, err = run(capsys, "train", "--data", str(data_dir), "--bank", str(bank_path),

@@ -6,7 +6,8 @@ numeric edge value, stray text, a damaged copy of a good artifact, a missing
 path or a directory. The run must return or exit with a code in 0-5, print at most one
 ``error:`` line and raise nothing. The integer edge values are either tiny or
 past int64, where numpy refuses any array they size at once; sizes in
-between would really be allocated.
+between would really be allocated. The largest, 400 digits, is also past
+float range, so any float arithmetic on it must end in a defined error.
 Damage is a cut or one to three flipped bytes, so a damaged config holds at
 most one-digit changes to its small values and every run stays short.
 
@@ -36,7 +37,7 @@ from ivit.model import InstructionModel
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
-INTS = ("-9223372036854775809", "-1", "0", "1", "2", "3", str(2**64), "1" + "0" * 30)
+INTS = ("-9223372036854775809", "-1", "0", "1", "2", "3", str(2**64), "1" + "0" * 30, "1" + "0" * 400)
 FLOATS = ("nan", "inf", "-inf", "-0.0", "0", "1e30", "1e300", "1e308", "5e-324", "1e999")
 TEXT = ("", "x", "--", "0x10", "1e3", "1_0", "٣", "é")
 
@@ -208,7 +209,7 @@ def draw_config(data, path: str) -> None:
     for _ in range(data.draw(st.integers(1, 4), label="drawn lines")):
         kind = data.draw(st.sampled_from(("key=value", "key=value", "comment", "blank", "no =")), label="kind")
         key = data.draw(st.sampled_from(CONFIG_KEYS), label="key")
-        ints = INTS[:6] if key in LOOP_KEYS else INTS  # the last two are past int64
+        ints = INTS[:6] if key in LOOP_KEYS else INTS  # the last three are past int64
         values = ints + CONFIG_VALUES
         line = {"key=value": f"{key}={data.draw(st.sampled_from(values), label='value')}",
                 "comment": f"# {key}=", "blank": "  ", "no =": key}[kind]

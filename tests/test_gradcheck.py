@@ -175,7 +175,7 @@ def _scale_by_dim(exact):
 
 
 def _cls_position_on_prompts(exact):
-    def assemble(self, images, prompts=None):
+    def assemble(self, images, prompts):
         seq = exact(self, images, prompts)
         n = 1 + self.config.n_patches
         t, d = seq.shape[1:]
@@ -185,13 +185,13 @@ def _cls_position_on_prompts(exact):
 
 
 def _score_before_final_norm(exact):
-    def forward(self, images, prompts=None, dropout_rng=None):
+    def forward(self, images, prompts, dropout_rng=None):
         x = self.assemble(images, prompts)
         for block in self.backbone.blocks:
             x = block(x)
         tokens = self.backbone.final_ln(x)
         b, t, d = tokens.shape
-        p = t - 1 - self.config.n_patches
+        p = len(prompts)
         logits = self.head(T.reshape(T.narrow(tokens, 1, 0, 1), (b, d)))
         cls_pre = T.reshape(T.narrow(x, 1, 0, 1), (b, d))
         return ForwardOutput(logits, T.batched_dot(T.l2_normalize(cls_pre),

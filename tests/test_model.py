@@ -62,10 +62,10 @@ class TestAssemble:
         assert tokens.shape == (2, 1 + 16 + 8, 16)
 
     def test_empty_bank_degenerates_to_plain_vit(self):
-        model, _ = make_model()
-        tokens = model.assemble(images_for(model))
+        model, no_prompts = make_model(n_prompts=0)
+        tokens = model.assemble(images_for(model), no_prompts)
         assert tokens.shape == (2, 1 + 4, 16)
-        assert model.forward(images_for(model)).score.shape == (2, 0)
+        assert model.forward(images_for(model), no_prompts).score.shape == (2, 0)
 
     def test_prompt_segment_identical_across_batch(self):
         model, prompts = make_model(n_prompts=3)
@@ -83,6 +83,12 @@ class TestAssemble:
         model, _ = make_model()
         with pytest.raises(ShapeError, match=rf"\[P, D_p\], got shape {re.escape(str(shape))}"):
             model.assemble(images_for(model), np.zeros(shape))
+
+    def test_none_is_not_a_prompt_block(self):
+        model, _ = make_model()
+        with pytest.raises(ShapeError) as info:
+            model.forward(images_for(model), None)
+        assert str(info.value) == "prompt rows must be [P, D_p], got shape ()"
 
     def test_zero_prompt_rows_give_empty_score_row(self):
         model, _ = make_model()
@@ -218,8 +224,8 @@ class TestLosses:
         assert np.abs(g_total - (g_pred + g_score)).max() / denom < 1e-6
 
     def test_no_prompts_drops_score_term(self):
-        model, _ = make_model(n_classes=2)
-        out = model.forward(images_for(model))
+        model, no_prompts = make_model(n_classes=2, n_prompts=0)
+        out = model.forward(images_for(model), no_prompts)
         assert out.score.shape == (2, 0)
         loss, pred, score = model.total_loss(out, np.array([0, 1]))
         assert score == 0.0

@@ -631,7 +631,7 @@ def test_train_and_evaluate_leave_the_model_holding_parameters_only(tmp_path):
         assert after.keys() == attrs[id(obj)].keys()
         assert all(after[k] is v for k, v in attrs[id(obj)].items())
     # no bank from those calls leaks into a later forward
-    out = model.forward(data.val_images[:2].astype(np.float32))
+    out = model.forward(data.val_images[:2].astype(np.float32), np.zeros((0, bank.dim)))
     assert out.score.shape == (2, 0)
 
 

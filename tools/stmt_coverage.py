@@ -12,9 +12,11 @@ are not traced.
 A statement is an ``ast.stmt`` node that compiles to bytecode; docstrings are
 not statements. A compound statement (``if``, ``for``, ``def``, ...) counts by
 its header lines only, a simple one by all of its lines, and it ran if any of
-those lines raised a ``line`` event. The script prints each never-run
-statement as ``file:line: source`` and then a summary line, and exits with
-pytest's exit code.
+those lines raised a ``line`` event. Statements inside an
+``if __name__ == "__main__":`` block run only when the file runs as a script,
+so they are left out of the count. The script prints each never-run
+statement as ``file:line: source`` and then a summary line. It exits 1 if it
+listed any statement, else with pytest's exit code.
 
 Tracing slows the suite down by about half, so this is a tool, not a test.
 """
@@ -59,10 +61,13 @@ def statements(path: Path) -> dict[int, range]:
     source = path.read_text()
     tree = ast.parse(source, str(path))
     executable = _code_lines(compile(source, str(path), "exec"))
+    script_only = {id(node) for guard in ast.walk(tree)
+                   if isinstance(guard, ast.If) and ast.unparse(guard.test) == "__name__ == '__main__'"
+                   for stmt in guard.body for node in ast.walk(stmt)}
     out = {}
     for parent in ast.walk(tree):
         for node in ast.iter_child_nodes(parent):
-            if not isinstance(node, ast.stmt) or _is_docstring(node, parent):
+            if not isinstance(node, ast.stmt) or _is_docstring(node, parent) or id(node) in script_only:
                 continue
             own = _own_lines(node)
             if executable.intersection(own):
@@ -103,7 +108,7 @@ def main(argv: list[str]) -> int:
                 print(f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}")
     print(f"{total - missed} of {total} statements in {PACKAGE.relative_to(ROOT)} ran; "
           f"{missed} never ran")
-    return int(code)
+    return 1 if missed else int(code)
 
 
 if __name__ == "__main__":
