@@ -28,6 +28,16 @@ from .tensor import Tensor
 INIT_STD = 0.02
 
 
+def named_parts(*parts) -> Iterator[tuple[str, Tensor]]:
+    """Each ``(prefix, part)`` in order: a tensor as ``prefix``, a layer's parameters as ``prefix.name``."""
+    for prefix, part in parts:
+        if isinstance(part, Tensor):
+            yield prefix, part
+        else:
+            for name, p in part.named_parameters():
+                yield f"{prefix}.{name}", p
+
+
 class Linear:
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype):
         self.weight = Tensor(rng.normal(0.0, INIT_STD, size=(d_in, d_out)), requires_grad=True, dtype=dtype)
@@ -37,8 +47,7 @@ class Linear:
         return T.linear(x, self.weight, self.bias)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "weight", self.weight
-        yield "bias", self.bias
+        return named_parts(("weight", self.weight), ("bias", self.bias))
 
 
 class LayerNorm:
@@ -50,8 +59,7 @@ class LayerNorm:
         return T.layer_norm(x, self.gain, self.bias)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "gain", self.gain
-        yield "bias", self.bias
+        return named_parts(("gain", self.gain), ("bias", self.bias))
 
 
 class MultiHeadAttention:
@@ -92,9 +100,7 @@ class MultiHeadAttention:
         return self.wo(out)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for prefix, layer in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
-            for name, p in layer.named_parameters():
-                yield f"{prefix}.{name}", p
+        return named_parts(("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo))
 
 
 class Block:
@@ -112,10 +118,8 @@ class Block:
         return x
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for prefix, part in (("ln1", self.ln1), ("attn", self.attn), ("ln2", self.ln2),
-                             ("fc1", self.fc1), ("fc2", self.fc2)):
-            for name, p in part.named_parameters():
-                yield f"{prefix}.{name}", p
+        return named_parts(("ln1", self.ln1), ("attn", self.attn), ("ln2", self.ln2),
+                           ("fc1", self.fc1), ("fc2", self.fc2))
 
 
 class Backbone:
@@ -162,12 +166,6 @@ class Backbone:
         return self.final_ln(x)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "cls_token", self.cls_token
-        yield "pos_embed", self.pos_embed
-        for name, p in self.patch_proj.named_parameters():
-            yield f"patch_embed.{name}", p
-        for i, block in enumerate(self.blocks):
-            for name, p in block.named_parameters():
-                yield f"blocks.{i}.{name}", p
-        for name, p in self.final_ln.named_parameters():
-            yield f"final_ln.{name}", p
+        blocks = ((f"blocks.{i}", block) for i, block in enumerate(self.blocks))
+        return named_parts(("cls_token", self.cls_token), ("pos_embed", self.pos_embed),
+                           ("patch_embed", self.patch_proj), *blocks, ("final_ln", self.final_ln))

@@ -7,9 +7,9 @@ work. Labels are assigned round-robin so every split is balanced.
 
 Directory layout:
 
-    meta.txt          key=value lines (n_classes, n_train, n_val, image_size,
-                      channels, seed, mean, std) then class names, one per
-                      line, after a "[classes]" marker
+    meta.txt          one key=value line for each `DatasetMeta` field but
+                      the class names, in field order, each key once; then
+                      a "[classes]" marker and the class names, one per line
     train_images.bin  float32 LE, sample-major C*H*W
     train_labels.bin  u32 LE
     val_images.bin    float32 LE
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -71,6 +71,10 @@ class DatasetMeta:
             raise ConsistencyError(
                 f"{len(self.class_names)} class names for {self.n_classes} classes"
             )
+
+
+# meta.txt's keys, in line order, with the type each value is read as
+_META_KEYS = {key: kind for key, kind in get_type_hints(DatasetMeta).items() if key != "class_names"}
 
 
 @dataclass
@@ -144,23 +148,12 @@ def generate_synthetic(out_dir, n_classes: int, n_train: int, n_val: int,
 
 
 def _write_meta(path, meta: DatasetMeta) -> None:
-    lines = [
-        f"n_classes={meta.n_classes}",
-        f"n_train={meta.n_train}",
-        f"n_val={meta.n_val}",
-        f"image_size={meta.image_size}",
-        f"channels={meta.channels}",
-        f"seed={meta.seed}",
-        f"mean={meta.mean!r}",
-        f"std={meta.std!r}",
-        "[classes]",
-        *meta.class_names,
-    ]
+    lines = [*(f"{key}={getattr(meta, key)}" for key in _META_KEYS), "[classes]", *meta.class_names]
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _read_meta(path) -> DatasetMeta:
-    """Parse ``meta.txt``; a malformed value is a `FormatError` naming the file."""
+    """Parse ``meta.txt``; a malformed line or value is a `FormatError` naming the file."""
     keys: dict[str, str] = {}
     names: list[str] = []
     in_classes = False
@@ -169,30 +162,33 @@ def _read_meta(path) -> DatasetMeta:
             lines = f.read().split("\n")
     except UnicodeDecodeError as e:
         raise FormatError(f"meta.txt is not UTF-8: {e}") from e
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         if not line:
             continue
         if line == "[classes]":
             in_classes = True
-            continue
-        if in_classes:
+        elif in_classes:
             names.append(line)
         else:
-            key, _, value = line.partition("=")
+            key, sep, value = line.partition("=")
+            if not sep or key not in _META_KEYS:
+                raise FormatError(f"meta.txt line {number} is not key=value for one of "
+                                  f"{', '.join(_META_KEYS)}: {line!r}")
+            if key in keys:
+                raise FormatError(f"meta.txt line {number} repeats key {key!r}")
             keys[key] = value
     try:
-        counts = [int(keys[k]) for k in ("n_classes", "n_train", "n_val", "image_size", "channels", "seed")]
-        mean, std = float(keys["mean"]), float(keys["std"])
+        values = {key: kind(keys[key]) for key, kind in _META_KEYS.items()}
     except KeyError as e:
         raise FormatError(f"meta.txt is missing key {e.args[0]!r}") from e
     except ValueError as e:
         raise FormatError(f"meta.txt holds a non-numeric value: {e}") from e
-    if not math.isfinite(mean):
-        raise FormatError(f"meta.txt: mean must be finite, got {mean}")
-    if not (math.isfinite(std) and std > 0.0):
-        raise FormatError(f"meta.txt: std must be finite and > 0, got {std}")
+    if not math.isfinite(values["mean"]):
+        raise FormatError(f"meta.txt: mean must be finite, got {values['mean']}")
+    if not (math.isfinite(values["std"]) and values["std"] > 0.0):
+        raise FormatError(f"meta.txt: std must be finite and > 0, got {values['std']}")
     try:
-        return DatasetMeta(*counts, mean=mean, std=std, class_names=tuple(names))
+        return DatasetMeta(**values, class_names=tuple(names))
     except ValueError as e:
         raise FormatError(f"meta.txt: {e}") from e
 

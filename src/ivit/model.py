@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .backbone import Backbone, Linear
+from .backbone import Backbone, Linear, named_parts
 from .config import ModelConfig
 from .errors import ConsistencyError, ShapeError
 from .tensor import Tensor
@@ -148,12 +148,8 @@ class InstructionModel:
     # -- parameters ---------------------------------------------------------
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for name, p in self.backbone.named_parameters():
-            yield f"backbone.{name}", p
-        for name, p in self.prompt_embed.named_parameters():
-            yield f"prompt_embed.{name}", p
-        for name, p in self.head.named_parameters():
-            yield f"head.{name}", p
+        return named_parts(("backbone", self.backbone), ("prompt_embed", self.prompt_embed),
+                           ("head", self.head))
 
     def parameter_dict(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())

@@ -21,11 +21,13 @@ Bank file layout (little-endian throughout):
     features N * D_p float32, row-major
     names   N entries of (u16 length + UTF-8 bytes)
 
-Every feature must be finite, N and D_p positive, and nothing may follow
-the name table; a file that breaks any of these is a format error. The
-bytes are read through `_binfile.Reader`, which the checkpoint format
-shares. A bank's seed must fit the u64 field, so one outside [0, 2**64) is
-rejected when the bank is built, before anything is written.
+Rows are stored as float32: a float32 bank round-trips bit-exactly, float64
+rows come back rounded. Every feature must be finite, N and D_p positive,
+and nothing may follow the name table; a file that breaks any of these is a
+format error. The bytes are read through `_binfile.Reader`, which the
+checkpoint format shares. A bank's seed must fit the u64 field, so one
+outside [0, 2**64) is rejected when the bank is built, before anything is
+written.
 """
 
 from __future__ import annotations
@@ -212,17 +214,21 @@ def toy_image_encode(image, dim: int) -> np.ndarray:
     return _unit(feats @ _projection(feats.size, dim)).astype(np.float32)
 
 
-def _check_width(dim: int) -> None:
+def _bank_rows(n: int, dim: int) -> np.ndarray:
+    """An empty ``[n, dim]`` float32 array; a width below 1 or one numpy cannot index is a ``ValueError``."""
     if dim < 1:
         raise ValueError(f"prompt feature width must be >= 1, got {dim}")
+    try:
+        return np.empty((n, dim), dtype=np.float32)
+    except ValueError as e:
+        raise ValueError(f"prompt feature width {dim} is too large: {e}") from e
 
 
 def build_text_bank(class_names: list[str], dim: int) -> PromptBank:
     """Encode all 30 rendered sentences per class and average; rows are re-normalized."""
-    _check_width(dim)
+    rows = _bank_rows(len(class_names), dim)
     per_class = len(DEFAULT_TEMPLATES)
     encoded = _encode_texts([s for name in class_names for s in render_templates(name)], dim)
-    rows = np.empty((len(class_names), dim), dtype=np.float32)
     for i in range(len(class_names)):
         mean = encoded[i * per_class : (i + 1) * per_class].mean(axis=0)
         rows[i] = _unit(mean.astype(np.float64)).astype(np.float32)
@@ -235,10 +241,9 @@ def build_image_bank(dataset, dim: int, seed: int) -> PromptBank:
     ``dataset`` must expose ``class_names``, ``train_labels`` and
     ``train_images`` (raw, un-normalized pixels).
     """
-    _check_width(dim)
-    rng = np.random.default_rng(seed)
     names = list(dataset.class_names)
-    rows = np.empty((len(names), dim), dtype=np.float32)
+    rows = _bank_rows(len(names), dim)
+    rng = np.random.default_rng(seed)
     for c in range(len(names)):
         candidates = np.flatnonzero(dataset.train_labels == c)
         if candidates.size == 0:

@@ -14,7 +14,7 @@ blended images with their soft labels. It runs only when ``mixup_alpha > 0``.
 
 Per-epoch metrics (losses averaged over the training batches, top-1
 accuracies from an evaluation pass over the train split) go to a CSV with
-header ``epoch,loss_pred,loss_score,loss_total,head_top1,score_top1,lr``.
+one column per `EpochMetrics` field, in field order.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,8 +38,6 @@ from .model import ForwardOutput, InstructionModel, one_hot
 from .prompts import PromptBank
 from .selection import predict_scores, select, selected_bank
 from .tensor import Tensor
-
-METRICS_HEADER = "epoch,loss_pred,loss_score,loss_total,head_top1,score_top1,lr"
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -117,10 +116,12 @@ class EpochMetrics:
     lr: float
 
     def csv_row(self) -> str:
-        return (
-            f"{self.epoch},{self.loss_pred:.6g},{self.loss_score:.6g},{self.loss_total:.6g},"
-            f"{self.head_top1:.6g},{self.score_top1:.6g},{self.lr:.6g}"
-        )
+        return ",".join(format(getattr(self, name), ".6g" if kind is float else "")
+                        for name, kind in _METRIC_TYPES.items())
+
+
+_METRIC_TYPES = get_type_hints(EpochMetrics)
+METRICS_HEADER = ",".join(_METRIC_TYPES)
 
 
 @dataclass

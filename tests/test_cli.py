@@ -147,6 +147,17 @@ class TestBuildBank:
         assert err == "error: prompt feature width must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", [2**64, 2**63 - 1, 10**399], ids=["2**64", "2**63-1", "400-digits"])
+    @pytest.mark.parametrize("modality", ["text", "image"])
+    def test_width_numpy_cannot_index_is_argument_error_naming_it(self, tmp_path, data_dir, capsys,
+                                                                 modality, dim):
+        out = tmp_path / "x.ivpb"
+        code, _, err = run(capsys, "build-bank", "--data", str(data_dir), "--modality", modality,
+                           "--dim", str(dim), "--out", str(out))
+        assert code == 2
+        assert err.startswith(f"error: prompt feature width {dim} is too large: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("modality", ["image", "mixed"])
     def test_seed_outside_u64_is_argument_error(self, tmp_path, data_dir, capsys, modality):
         out = tmp_path / "x.ivpb"
@@ -197,6 +208,21 @@ class TestMetaFaults:
         code, out, err = self.build_bank(capsys, tmp_path, data_dir)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line,message", [
+        ("garbage line", "meta.txt line 9 is not key=value for one of n_classes, n_train, n_val, image_size, "
+                         "channels, seed, mean, std: 'garbage line'"),
+        ("noise=3", "meta.txt line 9 is not key=value for one of n_classes, n_train, n_val, image_size, "
+                    "channels, seed, mean, std: 'noise=3'"),
+        ("n_classes=2", "meta.txt line 9 repeats key 'n_classes'"),
+    ], ids=["garbage", "unknown-key", "repeated-key"])
+    def test_line_before_classes_that_is_no_new_key_exits_3(self, tmp_path, data_dir, capsys, line, message):
+        meta = data_dir / "meta.txt"
+        text = meta.read_text()
+        assert text.splitlines().index("[classes]") == 8
+        meta.write_text(text.replace("\n[classes]\n", f"\n{line}\n[classes]\n"))
+        code, out, err = self.build_bank(capsys, tmp_path, data_dir)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_not_utf8_exits_3(self, tmp_path, data_dir, capsys):
         meta = data_dir / "meta.txt"

@@ -56,6 +56,16 @@ class TestGeneration:
         assert float(normalized.std()) == pytest.approx(1.0, abs=1e-3)
 
 
+    def test_numpy_integer_counts_write_plain_meta(self, tmp_path):
+        counts = dict(n_classes=2, n_train=4, n_val=2, image_size=8, channels=3, seed=3)
+        a, _ = gen(tmp_path, "a", **counts)
+        b, _ = gen(tmp_path, "b", **{k: np.int64(v) for k, v in counts.items()})
+        assert (b / "meta.txt").read_text().startswith(
+            "n_classes=2\nn_train=4\nn_val=2\nimage_size=8\nchannels=3\nseed=3\nmean=")
+        assert read_all(a) == read_all(b)
+        assert ds.load(b).meta == ds.load(a).meta
+
+
 class TestLoader:
     def test_round_trip_byte_identical(self, tmp_path):
         out, _ = gen(tmp_path)

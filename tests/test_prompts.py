@@ -273,6 +273,14 @@ class TestBankFile:
         save_bank(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_float64_rows_come_back_rounded_to_float32(self, tmp_path):
+        rows = np.random.default_rng(0).normal(size=(3, 24))
+        bank = PromptBank(["heron", "anvil", "comet"], rows, "text")
+        _, loaded = self.roundtrip(tmp_path, bank)
+        assert loaded.features.dtype == np.float32
+        assert np.array_equal(loaded.features, bank.features.astype(np.float32))
+        assert not np.array_equal(loaded.features, bank.features)
+
     def test_bad_magic(self, tmp_path):
         path, _ = self.roundtrip(tmp_path, build_text_bank(["x1"], 8))
         blob = bytearray(path.read_bytes())
